@@ -124,66 +124,6 @@ telemetryOverhead(const workloads::Workload &w)
     return pair;
 }
 
-/** Snapshot on/off pair: cold --jobs 4 campaigns, best-of-N each. */
-struct SnapshotPair
-{
-    double offSeconds = 0.0;
-    double onSeconds = 0.0;
-    std::uint64_t prefixInstrsOff = 0; ///< dual prefix instrs executed
-    std::uint64_t prefixInstrsOn = 0;
-    std::uint64_t prefixRuns = 0;
-    std::uint64_t forks = 0;
-    std::uint64_t instrsSaved = 0;
-};
-
-/**
- * Measure snapshot/fork execution against the full-run path. Like the
- * telemetry pair, the off/on runs are interleaved and best-of-N taken
- * on each side. The prefix-instruction tallies come from the last
- * rep — they are deterministic, so any rep reports the same numbers.
- */
-SnapshotPair
-snapshotSpeedup(const workloads::Workload &w)
-{
-    query::CampaignConfig off_cfg;
-    off_cfg.sinks = w.sinks;
-    off_cfg.jobs = 4;
-    off_cfg.deadlineSeconds = 60.0;
-    query::CampaignConfig on_cfg = off_cfg;
-    on_cfg.snapshot = true;
-
-    SnapshotPair pair;
-    pair.offSeconds = pair.onSeconds = 1e30;
-    const int reps = 20;
-    for (int r = 0; r < reps; ++r) {
-        query::CampaignResult off_res, on_res;
-        double off = bench::timeSeconds(
-            [&] {
-                off_res = query::runCampaign(
-                    workloads::workloadModule(w, true),
-                    w.world(w.defaultScale), off_cfg);
-            },
-            1);
-        double on = bench::timeSeconds(
-            [&] {
-                on_res = query::runCampaign(
-                    workloads::workloadModule(w, true),
-                    w.world(w.defaultScale), on_cfg);
-            },
-            1);
-        if (off < pair.offSeconds)
-            pair.offSeconds = off;
-        if (on < pair.onSeconds)
-            pair.onSeconds = on;
-        pair.prefixInstrsOff = off_res.prefixInstrs;
-        pair.prefixInstrsOn = on_res.prefixInstrs;
-        pair.prefixRuns = on_res.snapshotPrefixRuns;
-        pair.forks = on_res.snapshotForks;
-        pair.instrsSaved = on_res.snapshotInstrsSaved;
-    }
-    return pair;
-}
-
 } // namespace
 
 int
@@ -275,33 +215,6 @@ main()
         json += ",\"on_seconds\":" + obs::jsonNumber(pair.onSeconds);
         json += ",\"overhead\":" + obs::jsonNumber(overhead) + "}";
 
-        // Snapshot/fork execution vs the full-run path: wall time and
-        // dual prefix instructions executed (the S·P -> S + S·P
-        // suffix claim; docs/CAMPAIGN.md "Snapshot/fork execution").
-        SnapshotPair snap = snapshotSpeedup(*w);
-        double instr_drop =
-            snap.prefixInstrsOn > 0
-                ? static_cast<double>(snap.prefixInstrsOff) /
-                      static_cast<double>(snap.prefixInstrsOn)
-                : 0.0;
-        std::cout << "  snapshot: off " << snap.offSeconds * 1e3
-                  << " ms, on " << snap.onSeconds * 1e3 << " ms; "
-                  << "prefix instrs " << snap.prefixInstrsOff
-                  << " -> " << snap.prefixInstrsOn << " ("
-                  << instr_drop << "x, " << snap.prefixRuns
-                  << " prefix runs, " << snap.forks << " forks)\n";
-        json += ",\"snapshot\":{\"off_seconds\":" +
-                obs::jsonNumber(snap.offSeconds);
-        json += ",\"on_seconds\":" + obs::jsonNumber(snap.onSeconds);
-        json += ",\"prefix_instrs_off\":" +
-                std::to_string(snap.prefixInstrsOff);
-        json += ",\"prefix_instrs_on\":" +
-                std::to_string(snap.prefixInstrsOn);
-        json += ",\"prefix_instr_drop\":" + obs::jsonNumber(instr_drop);
-        json += ",\"prefix_runs\":" + std::to_string(snap.prefixRuns);
-        json += ",\"forks\":" + std::to_string(snap.forks);
-        json += ",\"instrs_saved\":" + std::to_string(snap.instrsSaved);
-        json += '}';
         json += '}';
     }
     json += "]}";

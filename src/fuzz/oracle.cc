@@ -5,7 +5,6 @@
 
 #include "instrument/instrument.h"
 #include "lang/compiler.h"
-#include "ldx/snapshot.h"
 #include "os/kernel.h"
 #include "support/diag.h"
 #include "vm/image.h"
@@ -280,57 +279,6 @@ Oracle::runSource(std::uint64_t seed, const std::string &source) const
 
     for (const CellSpec &cell : matrix(opt_.fullMatrix))
         checkCell(cell, runCell(cell));
-
-    if (opt_.checkSnapshot && !sources.empty()) {
-        // Snapshot/fork equality: every policy resumed from the
-        // shared-prefix snapshot must fingerprint identically to the
-        // same policy run in full (the full run is the oracle;
-        // docs/CAMPAIGN.md "Snapshot/fork execution"). The *last*
-        // mutated source is the trigger — generated programs touch
-        // /input.txt first and the env var last, so with
-        // mutationSources = 3 the shared prefix spans most of the
-        // program and actually has state worth capturing.
-        // chaosDropSnapshotPage corrupts the fork's slave restore, so
-        // with it armed this is the invariant that is *expected* to
-        // fire.
-        core::EngineConfig base;
-        base.vmConfig.predecode = true;
-        base.vmConfig.maxInstructions = opt_.maxInstructions;
-        base.vmConfig.chaosSkipCntAddPeriod =
-            opt_.chaosSkipCntAddPeriod;
-        base.wallClockCap = opt_.cellWallCap;
-        base.sources = {sources.back()};
-        const std::vector<core::MutationStrategy> pols = {
-            core::MutationStrategy::OffByOne,
-            core::MutationStrategy::Zero,
-            core::MutationStrategy::BitFlip,
-        };
-        core::SnapshotGroupStats gs;
-        std::vector<core::DualResult> forked = core::runSnapshotGroup(
-            *module, world, base, pols, gs,
-            opt_.chaosDropSnapshotPage);
-        for (std::size_t i = 0; i < pols.size(); ++i) {
-            core::EngineConfig cfg = base;
-            cfg.strategy = pols[i];
-            core::DualEngine full_eng(*module, world, cfg);
-            core::DualResult full = full_eng.run();
-            std::string want = fingerprint(full, threads);
-            std::string got = fingerprint(forked[i], threads);
-            if (got == want)
-                continue;
-            std::string name =
-                std::string("snapshot/") +
-                core::mutationStrategyName(pols[i]);
-            fail(name, "snapshot-equality",
-                 "forked run differs from full run\n--- full\n" +
-                     want + "\n--- forked\n" + got);
-            if (!rep.hasFailingResult) {
-                rep.failingResult = forked[i];
-                rep.hasFailingResult = true;
-                rep.failingCell = name;
-            }
-        }
-    }
 
     if (opt_.checkDeterminism) {
         // Same cell twice: the fingerprint must reproduce exactly.

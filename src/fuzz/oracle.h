@@ -94,24 +94,6 @@ struct OracleOptions
     std::uint64_t chaosSkipCntAddPeriod = 0;
 
     /**
-     * Fault-injection passthrough: drop the Nth dirty 4096-byte page
-     * from every snapshot fork's slave-memory restore — the planted
-     * stale-snapshot bug (vm::Memory::restore).
-     * Used to prove the snapshot-equality oracle catches a fork that
-     * resumes from incomplete state (see tests/snapshot_test.cc and
-     * `ldx fuzz --inject-drop-snapshot-page`).
-     */
-    std::uint64_t chaosDropSnapshotPage = 0;
-
-    /**
-     * Check the snapshot/fork invariant: for the seed's last mutated
-     * source (the one touched deepest into the program), each policy
-     * run forked from the shared-prefix snapshot must fingerprint
-     * identically to the same policy run in full.
-     */
-    bool checkSnapshot = true;
-
-    /**
      * When non-empty, the per-seed compile probes this bytecode-image
      * cache (vm/image.h) before running the front end, so sweeping
      * the same seed range twice — or replaying the shrinker's

@@ -41,7 +41,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -237,21 +236,6 @@ class PosCell
         return seq_.load(std::memory_order_acquire);
     }
 
-    /**
-     * Restore an exact published state, sequence included (snapshot
-     * forking). Poll gates remember the sequence they were recorded
-     * at, so a forked execution must resume from the captured value —
-     * a publish-from-scratch would make every gate read as "peer
-     * moved". Caller must be the only thread touching the cell.
-     */
-    void
-    restore(std::uint64_t seq, const Position &p,
-            const std::vector<std::int64_t> &stack)
-    {
-        publish(p, stack);
-        seq_.store(seq, std::memory_order_release);
-    }
-
   private:
     std::atomic<std::uint64_t> seq_{0};
     std::atomic<std::uint8_t> kind_{0};
@@ -306,73 +290,6 @@ struct ThreadChannel
         queue.clear();
         bumpVersion();
     }
-};
-
-/**
- * Value image of one thread pair's coupling state (snapshot forking).
- * posSeq / stateVersion are captured exactly so restored poll gates
- * stay coherent (gates compare versions for equality only, but they
- * must observe the values they were recorded against).
- */
-struct ThreadChannelImage
-{
-    int tid = 0;
-    Position pos[2];
-    std::vector<std::int64_t> cntStack[2];
-    bool threadDone[2] = {false, false};
-    std::deque<QueueEntry> queue;
-    SinkSlot sink[2];
-    BarrierPair barrier;
-    std::uint64_t posSeq[2] = {0, 0};
-    std::uint64_t stateVersion = 0;
-};
-
-/**
- * Registry-backed channel tallies by value. A forked execution owns a
- * fresh metrics registry, but its run-level totals (some of which are
- * verdict-visible, e.g. aligned syscalls) must cover the shared
- * prefix too — the image is re-applied as increments at fork setup.
- */
-struct ChannelCounterImage
-{
-    std::uint64_t alignedSyscalls = 0;
-    std::uint64_t syscallDiffs = 0;
-    std::uint64_t slaveSyscalls = 0;
-    std::uint64_t barrierPairings = 0;
-    std::uint64_t barrierSkips = 0;
-    std::uint64_t copies = 0;
-    std::uint64_t executes = 0;
-    std::uint64_t decouples = 0;
-    std::uint64_t sinkAligned = 0;
-    std::uint64_t sinkDiffs = 0;
-    std::uint64_t sinkVanished = 0;
-    std::uint64_t blockedPolls = 0;
-    std::uint64_t watchdogPolls = 0;
-    std::uint64_t watchdogExpired = 0;
-    std::uint64_t lockShares = 0;
-    std::uint64_t lockDiverged = 0;
-};
-
-/**
- * Everything a SyncChannel holds, by value: what a snapshot captures
- * at the fork point and what fork setup restores into a fresh
- * channel. The wait-polls histogram is deliberately absent — prefix
- * waits were resolved before the capture and the histogram is purely
- * diagnostic.
- */
-struct ChannelImage
-{
-    std::vector<ThreadChannelImage> threads;
-    std::map<std::int64_t, std::vector<int>> lockOrder;
-    std::map<std::int64_t, std::size_t> slaveLockIdx;
-    std::uint64_t lockVersion = 0;
-    std::set<std::string> taintKeys;
-    std::uint64_t taintVersion = 0;
-    std::vector<Finding> findings;
-    std::vector<TraceEvent> trace;
-    std::uint64_t progress[2] = {0, 0};
-    bool sideFinished[2] = {false, false};
-    ChannelCounterImage counters;
 };
 
 /** Whole-engine shared state. */
@@ -555,141 +472,6 @@ class SyncChannel
     obs::Counter *lockShares;
     obs::Counter *lockDiverged;
     obs::Histogram *waitPolls;
-
-    /**
-     * Capture every coupling-state component by value. Call only
-     * while both drivers are quiesced (the snapshot trigger pauses
-     * both machines first), so the locks taken here are uncontended
-     * formalities.
-     */
-    ChannelImage
-    captureImage()
-    {
-        ChannelImage img;
-        forEachChannel([&](int tid, ThreadChannel &ch) {
-            ThreadChannelImage t;
-            t.tid = tid;
-            std::lock_guard<CountingMutex> lock(ch.mutex);
-            for (int s = 0; s < 2; ++s) {
-                t.pos[s] = ch.pos[s];
-                t.cntStack[s] = ch.cntStack[s];
-                t.threadDone[s] = ch.threadDone[s];
-                t.sink[s] = ch.sink[s];
-                t.posSeq[s] = ch.posCell[s].seq();
-            }
-            t.queue = ch.queue;
-            t.barrier = ch.barrier;
-            t.stateVersion =
-                ch.stateVersion.load(std::memory_order_acquire);
-            img.threads.push_back(std::move(t));
-        });
-        {
-            std::lock_guard<std::mutex> lock(lockMutex);
-            img.lockOrder = lockOrder;
-            img.slaveLockIdx = slaveLockIdx;
-            img.lockVersion =
-                lockVersion.load(std::memory_order_acquire);
-        }
-        img.taintKeys = taints.snapshot();
-        img.taintVersion = taints.version();
-        {
-            std::lock_guard<std::mutex> lock(findingsMutex_);
-            img.findings = findings_;
-        }
-        {
-            std::lock_guard<std::mutex> lock(traceMutex_);
-            img.trace = trace_;
-        }
-        for (int s = 0; s < 2; ++s) {
-            img.progress[s] =
-                progress[s].load(std::memory_order_acquire);
-            img.sideFinished[s] =
-                sideFinished_[s].load(std::memory_order_acquire);
-        }
-        img.counters.alignedSyscalls = alignedSyscalls->value();
-        img.counters.syscallDiffs = syscallDiffs->value();
-        img.counters.slaveSyscalls = slaveSyscalls->value();
-        img.counters.barrierPairings = barrierPairings->value();
-        img.counters.barrierSkips = barrierSkips->value();
-        img.counters.copies = copies->value();
-        img.counters.executes = executes->value();
-        img.counters.decouples = decouples->value();
-        img.counters.sinkAligned = sinkAligned->value();
-        img.counters.sinkDiffs = sinkDiffs->value();
-        img.counters.sinkVanished = sinkVanished->value();
-        img.counters.blockedPolls = blockedPolls->value();
-        img.counters.watchdogPolls = watchdogPolls->value();
-        img.counters.watchdogExpired = watchdogExpired->value();
-        img.counters.lockShares = lockShares->value();
-        img.counters.lockDiverged = lockDiverged->value();
-        return img;
-    }
-
-    /**
-     * Restore a captured image into this freshly constructed channel
-     * (fork setup). Tallies are re-applied as increments into this
-     * channel's own registry; version counters (posCell sequences,
-     * stateVersion, taint/lock versions) are restored exactly so the
-     * forked controllers' restored poll gates stay coherent.
-     */
-    void
-    restoreImage(const ChannelImage &img)
-    {
-        for (const ThreadChannelImage &t : img.threads) {
-            ThreadChannel &ch = thread(t.tid);
-            std::lock_guard<CountingMutex> lock(ch.mutex);
-            for (int s = 0; s < 2; ++s) {
-                ch.pos[s] = t.pos[s];
-                ch.cntStack[s] = t.cntStack[s];
-                ch.threadDone[s] = t.threadDone[s];
-                ch.sink[s] = t.sink[s];
-                ch.posCell[s].restore(t.posSeq[s], t.pos[s],
-                                      t.cntStack[s]);
-            }
-            ch.queue = t.queue;
-            ch.barrier = t.barrier;
-            ch.stateVersion.store(t.stateVersion,
-                                  std::memory_order_release);
-        }
-        {
-            std::lock_guard<std::mutex> lock(lockMutex);
-            lockOrder = img.lockOrder;
-            slaveLockIdx = img.slaveLockIdx;
-            lockVersion.store(img.lockVersion,
-                              std::memory_order_release);
-        }
-        taints.restore(img.taintKeys, img.taintVersion);
-        {
-            std::lock_guard<std::mutex> lock(findingsMutex_);
-            findings_ = img.findings;
-        }
-        {
-            std::lock_guard<std::mutex> lock(traceMutex_);
-            trace_ = img.trace;
-        }
-        for (int s = 0; s < 2; ++s) {
-            progress[s].store(img.progress[s],
-                              std::memory_order_release);
-            sideFinished_[s].store(img.sideFinished[s],
-                                   std::memory_order_release);
-        }
-        alignedSyscalls->inc(img.counters.alignedSyscalls);
-        syscallDiffs->inc(img.counters.syscallDiffs);
-        slaveSyscalls->inc(img.counters.slaveSyscalls);
-        barrierPairings->inc(img.counters.barrierPairings);
-        barrierSkips->inc(img.counters.barrierSkips);
-        copies->inc(img.counters.copies);
-        executes->inc(img.counters.executes);
-        decouples->inc(img.counters.decouples);
-        sinkAligned->inc(img.counters.sinkAligned);
-        sinkDiffs->inc(img.counters.sinkDiffs);
-        sinkVanished->inc(img.counters.sinkVanished);
-        blockedPolls->inc(img.counters.blockedPolls);
-        watchdogPolls->inc(img.counters.watchdogPolls);
-        watchdogExpired->inc(img.counters.watchdogExpired);
-        lockShares->inc(img.counters.lockShares);
-        lockDiverged->inc(img.counters.lockDiverged);
-    }
 
     /** Progress heartbeat for the deadlock watchdog. */
     std::atomic<std::uint64_t> progress[2] = {0, 0};

@@ -382,31 +382,6 @@ Controller::onSyscall(const vm::SyscallRequest &req, vm::Machine &vm,
         return handleLock(req, vm);
       case os::SysClass::Output:
       case os::SysClass::Input: {
-        // Snapshot trigger: fires before the fast-poll gate and
-        // before any world or coupling state is touched, so a paused
-        // machine holds the exact pre-touch prefix state. Each side
-        // fires once; after the resume the sticky hit flag lets the
-        // re-issued syscall fall through to the normal path.
-        if (opts_.trigger && !opts_.trigger->fired(self())) {
-            std::string key;
-            try {
-                key = vm.kernel().resourceKey(req.sysNo, req.args,
-                                              vm.memory());
-            } catch (const vm::VmTrap &) {
-                key.clear();
-            }
-            if (!key.empty() && key == opts_.trigger->key) {
-                opts_.trigger->prefixInstrs[self()].store(
-                    vm.stats().instructions,
-                    std::memory_order_relaxed);
-                opts_.trigger->hit[self()].store(
-                    true, std::memory_order_release);
-                if (opts_.trigger->pauseOnHit) {
-                    vm.requestPause();
-                    return vm::PortReply::Blocked;
-                }
-            }
-        }
         // Re-poll of a recorded shared/sink wait: answer from the
         // lock-free gate (this also skips the per-poll payload /
         // argument-signature recomputation the locked path redoes).

@@ -41,7 +41,6 @@
  */
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -54,44 +53,6 @@
 #include "vm/hooks.h"
 
 namespace ldx::core {
-
-/**
- * Shared snapshot trigger for campaign fork execution. Both
- * controllers point at one instance; each side fires once, at its
- * first Input/Output syscall whose resource key matches @p key,
- * *before* any coupling state or world state is touched — so the
- * paused machines still hold the exact pre-touch prefix state, which
- * is what makes the captured snapshot policy-independent (mutations
- * only change the values behind matching keys).
- *
- * With pauseOnHit the firing side pauses its machine and the syscall
- * is answered Blocked; the engine captures a fork point once both
- * sides are paused, then resumes (the hit flags stay set, so the
- * re-issued syscalls flow normally). Without pauseOnHit the trigger
- * is a pure probe: it records where the prefix ends (for the
- * snapshot-off measurement of campaign.dual.prefix_instrs) and lets
- * execution continue undisturbed.
- */
-struct SnapshotTrigger
-{
-    std::string key;
-    bool pauseOnHit = true;
-    std::atomic<bool> hit[2] = {false, false};
-    /** vm.stats().instructions at each side's first key touch. */
-    std::atomic<std::uint64_t> prefixInstrs[2] = {0, 0};
-
-    bool
-    fired(int side) const
-    {
-        return hit[side].load(std::memory_order_acquire);
-    }
-
-    bool
-    bothFired() const
-    {
-        return fired(0) && fired(1);
-    }
-};
 
 /** Controller tuning knobs. */
 struct ControllerOptions
@@ -118,9 +79,6 @@ struct ControllerOptions
      * controller itself.
      */
     obs::SiteStallMap *stalls = nullptr;
-
-    /** Snapshot trigger/probe; nullptr for ordinary runs. */
-    SnapshotTrigger *trigger = nullptr;
 };
 
 /** One side's syscall controller. */
@@ -257,30 +215,6 @@ class Controller : public vm::SyscallPort
     // Fast-poll scratch (avoids per-poll allocation).
     Position peerPosScratch_;
     std::vector<std::int64_t> peerStackScratch_;
-
-  public:
-    /**
-     * Poll-gate / watchdog state by value (snapshot forking). A
-     * forked controller must resume with the captured wait budgets —
-     * a fresh map would re-arm every in-flight watchdog and the fork
-     * could decouple later than the full run it must replicate. The
-     * struct is opaque to callers: capture from the paused
-     * controller, restore into the fork's.
-     */
-    struct Image
-    {
-        std::map<int, WaitState> waits;
-        std::map<std::pair<int, std::int64_t>, std::uint64_t> lockPolls;
-    };
-
-    Image captureImage() const { return {waits_, lockPolls_}; }
-
-    void
-    restoreImage(const Image &image)
-    {
-        waits_ = image.waits;
-        lockPolls_ = image.lockPolls;
-    }
 };
 
 } // namespace ldx::core

@@ -15,9 +15,9 @@
 #include <vector>
 
 #include "ir/ir.h"
-#include "ldx/controller.h"
 #include "ldx/mutation.h"
 #include "ldx/report.h"
+#include "obs/profiler.h"
 #include "obs/recorder.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
@@ -95,7 +95,11 @@ struct EngineConfig
     std::uint64_t stallTimeout = 100'000;
     std::uint64_t lockPollTimeout = 50'000;
 
-    /** Hard wall-clock cap (seconds) before declaring a deadlock. */
+    /**
+     * Hard wall-clock cap (seconds) before declaring a deadlock. The
+     * threaded driver judges it by elapsed time: a run that outlasts
+     * the cap is deadlocked even if both sides finished first.
+     */
     double wallClockCap = 120.0;
 
     /** Record a Fig. 3-style alignment trace into DualResult::trace. */
@@ -146,16 +150,6 @@ struct EngineConfig
      */
     obs::SiteCounters *masterSites = nullptr;
     obs::SiteCounters *slaveSites = nullptr;
-
-    /**
-     * Snapshot trigger/probe handed to both controllers (see
-     * SnapshotTrigger). The campaign's snapshot executor passes a
-     * pausing trigger to capture a fork point at the mutated source's
-     * first touch; its snapshot-off path passes a probe-only trigger
-     * to measure the same prefix without perturbing the run. Null for
-     * ordinary runs.
-     */
-    SnapshotTrigger *trigger = nullptr;
 };
 
 /** Dual-execution engine. */

@@ -606,26 +606,6 @@ Kernel::replay(std::int64_t no, const std::vector<std::int64_t> &args,
     }
 }
 
-void
-Kernel::patchWorld(const WorldSpec &spec)
-{
-    WorldSpec old = std::move(spec_);
-    spec_ = spec;
-    // installFile is also what the constructor uses, so a re-installed
-    // file is byte- and mtime-identical to one installed at birth.
-    for (const auto &[path, data] : spec_.files) {
-        auto it = old.files.find(path);
-        if (it == old.files.end() || it->second != data)
-            vfs_.installFile(path, data);
-    }
-    for (auto &[fdno, fd] : fds_) {
-        (void)fdno;
-        if (fd.kind == Fd::Kind::SocketServerConn &&
-            fd.incomingIdx < spec_.incoming.size())
-            fd.request = spec_.incoming[fd.incomingIdx].request;
-    }
-}
-
 std::string
 Kernel::resourceKey(std::int64_t no, const std::vector<std::int64_t> &args,
                     const MemAccess &mem) const

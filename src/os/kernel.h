@@ -137,19 +137,6 @@ class Kernel
     /** Heap segment base jitter for this execution's VM. */
     std::uint64_t heapBaseJitter() const { return spec_.heapBaseJitter; }
 
-    /**
-     * Swap this kernel's world for @p spec mid-execution (snapshot
-     * forking: the forked slave keeps the shared prefix state but its
-     * world must reflect a different mutation policy). Re-installs
-     * VFS content for files whose bytes changed and rewrites the
-     * inbound request of accepted-but-unread server connections; all
-     * other world reads (peers, env, incoming, nondet params) go
-     * through spec_ lazily and need no fixup. Sound only while no
-     * syscall has consumed a changed resource — the campaign's
-     * snapshot trigger pauses before the first such touch.
-     */
-    void patchWorld(const WorldSpec &spec);
-
   private:
     struct Fd
     {

@@ -56,20 +56,6 @@ class ResourceTaintMap
     }
 
     /**
-     * Overwrite the map with @p keys at exactly @p version (snapshot
-     * forking: a forked execution must resume from the captured taint
-     * state, version included, so cached membership answers on either
-     * side of the fork stay coherent).
-     */
-    void
-    restore(const std::set<std::string> &keys, std::uint64_t version)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        keys_ = keys;
-        version_.store(version, std::memory_order_release);
-    }
-
-    /**
      * Monotonic change counter. A poller that cached a membership
      * answer may keep it while the version is unchanged (taints are
      * only ever added, never removed).

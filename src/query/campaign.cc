@@ -3,7 +3,6 @@
 #include <atomic>
 #include <utility>
 
-#include "ldx/snapshot.h"
 #include "support/diag.h"
 
 namespace ldx::query {
@@ -35,10 +34,6 @@ runCampaign(const ir::Module &module, const os::WorldSpec &world,
         fatal("campaign requires cache-cap >= 1");
     if (cfg.policies.empty())
         fatal("campaign requires at least one mutation policy");
-    if (cfg.snapshot && cfg.siteProfile)
-        fatal("campaign snapshot mode is incompatible with site "
-              "profiling (a fork's site counters would miss the "
-              "prefix's attribution)");
 
     obs::Registry fallback;
     obs::Registry *reg = cfg.registry ? cfg.registry : &fallback;
@@ -156,15 +151,6 @@ runCampaign(const ir::Module &module, const os::WorldSpec &world,
     std::atomic<std::uint64_t> ran{0};
     std::vector<std::optional<QueryVerdict>> miss_verdicts(misses.size());
     std::vector<std::vector<SiteHeatEntry>> miss_profiles(misses.size());
-    // Snapshot tallies, accumulated by the workers and folded into the
-    // registry after the pool drains (campaign.snapshot.*). The prefix
-    // instruction count is measured in BOTH modes — per query by a
-    // probe-only trigger when snapshot is off, per group by the
-    // carrier's capture when on — so the two modes are comparable.
-    std::atomic<std::uint64_t> snap_prefix_runs{0};
-    std::atomic<std::uint64_t> snap_forks{0};
-    std::atomic<std::uint64_t> snap_saved{0};
-    std::atomic<std::uint64_t> prefix_instrs{0};
     auto runOne = [&](std::size_t j) {
         const CampaignQuery &q = res.queries[misses[j]];
         core::EngineConfig ecfg;
@@ -184,12 +170,6 @@ runCampaign(const ir::Module &module, const os::WorldSpec &world,
         // legacy tallies are registry-backed and a shared one would
         // accumulate across queries.
         ecfg.registry = nullptr;
-        // Probe (never pauses): measure this query's dual prefix —
-        // instructions retired before the mutated source's first touch.
-        core::SnapshotTrigger probe;
-        probe.key = q.spec.resourceKey();
-        probe.pauseOnHit = false;
-        ecfg.trigger = &probe;
         obs::SiteCounters master_sites, slave_sites;
         if (cfg.siteProfile) {
             ecfg.masterSites = &master_sites;
@@ -199,11 +179,6 @@ runCampaign(const ir::Module &module, const os::WorldSpec &world,
         ran.fetch_add(1, std::memory_order_relaxed);
         core::DualEngine engine(module, world, ecfg);
         core::DualResult r = engine.run();
-        if (probe.bothFired())
-            prefix_instrs.fetch_add(
-                probe.prefixInstrs[0].load(std::memory_order_relaxed) +
-                    probe.prefixInstrs[1].load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
         miss_verdicts[j] = verdictFromResult(r);
         if (cfg.onVerdict)
             cfg.onVerdict(q, *miss_verdicts[j], false);
@@ -238,74 +213,8 @@ runCampaign(const ir::Module &module, const os::WorldSpec &world,
     scfg.registry = reg;
     scfg.traceSink = cfg.traceSink;
     scfg.shared = cfg.sharedPool;
-    std::vector<RunOutcome> pool;
-    if (cfg.snapshot) {
-        // Snapshot mode: the pool's unit of work is a *group* — the
-        // missed policies of one planned source. The plan is
-        // source-major, so query index / P identifies the group, and
-        // `misses` (query-index order) keeps each group's slots
-        // consecutive. The group's `query.exec` span carries its
-        // first missed query's index.
-        const std::size_t num_policies = cfg.policies.size();
-        std::vector<std::vector<std::size_t>> groups;
-        std::vector<std::size_t> group_spans;
-        for (std::size_t j = 0; j < misses.size(); ++j) {
-            std::size_t g = misses[j] / num_policies;
-            if (groups.empty() ||
-                misses[groups.back().front()] / num_policies != g) {
-                groups.emplace_back();
-                group_spans.push_back(misses[j]);
-            }
-            groups.back().push_back(j);
-        }
-        auto runGroup = [&](std::size_t k) {
-            const std::vector<std::size_t> &slots = groups[k];
-            const CampaignQuery &q0 = res.queries[misses[slots[0]]];
-            core::EngineConfig ecfg;
-            ecfg.sinks = cfg.sinks;
-            ecfg.driver = cfg.driver;
-            ecfg.sources = {q0.spec};
-            ecfg.threaded = cfg.threaded;
-            ecfg.vmConfig = vm_config;
-            ecfg.wallClockCap = cfg.deadlineSeconds;
-            ecfg.flightRecorder = false;
-            ecfg.registry = nullptr;
-            std::vector<core::MutationStrategy> policies;
-            policies.reserve(slots.size());
-            for (std::size_t j : slots)
-                policies.push_back(res.queries[misses[j]].strategy);
-            dual_execs.inc(slots.size());
-            ran.fetch_add(slots.size(), std::memory_order_relaxed);
-            core::SnapshotGroupStats gs;
-            std::vector<core::DualResult> results =
-                core::runSnapshotGroup(module, world, ecfg, policies,
-                                       gs, cfg.chaosDropSnapshotPage);
-            for (std::size_t i = 0; i < slots.size(); ++i) {
-                miss_verdicts[slots[i]] = verdictFromResult(results[i]);
-                if (cfg.onVerdict)
-                    cfg.onVerdict(res.queries[misses[slots[i]]],
-                                  *miss_verdicts[slots[i]], false);
-            }
-            snap_prefix_runs.fetch_add(gs.prefixRuns,
-                                       std::memory_order_relaxed);
-            snap_forks.fetch_add(gs.forks, std::memory_order_relaxed);
-            snap_saved.fetch_add(gs.instrsSaved,
-                                 std::memory_order_relaxed);
-            prefix_instrs.fetch_add(gs.prefixInstrsExecuted,
-                                    std::memory_order_relaxed);
-        };
-        scfg.spanIds = &group_spans;
-        std::vector<RunOutcome> gpool =
-            runOnPool(groups.size(), runGroup, scfg);
-        // Fan each group's outcome back out to its per-query slots.
-        pool.resize(misses.size());
-        for (std::size_t k = 0; k < groups.size(); ++k)
-            for (std::size_t j : groups[k])
-                pool[j] = gpool[k];
-    } else {
-        scfg.spanIds = &misses;
-        pool = runOnPool(misses.size(), runOne, scfg);
-    }
+    scfg.spanIds = &misses;
+    std::vector<RunOutcome> pool = runOnPool(misses.size(), runOne, scfg);
     timer.end();
 
     // Fold pool results back into the per-query slots and populate
@@ -376,17 +285,6 @@ runCampaign(const ir::Module &module, const os::WorldSpec &world,
         }
     }
     res.dualExecutions = ran.load(std::memory_order_relaxed);
-    res.snapshotPrefixRuns =
-        snap_prefix_runs.load(std::memory_order_relaxed);
-    res.snapshotForks = snap_forks.load(std::memory_order_relaxed);
-    res.snapshotInstrsSaved = snap_saved.load(std::memory_order_relaxed);
-    res.prefixInstrs = prefix_instrs.load(std::memory_order_relaxed);
-    reg->counter("campaign.snapshot.prefix_runs")
-        .inc(res.snapshotPrefixRuns);
-    reg->counter("campaign.snapshot.forks").inc(res.snapshotForks);
-    reg->counter("campaign.snapshot.instrs_saved")
-        .inc(res.snapshotInstrsSaved);
-    reg->counter("campaign.dual.prefix_instrs").inc(res.prefixInstrs);
     res.cacheHits = probe_hits;
     res.cacheMisses = probe_misses;
     // Evictions are per-tenant for a private cache but process-wide

@@ -7,8 +7,8 @@
  * sources and sinks (query/enumerate.h); the planner crosses every
  * queryable source with every mutation policy into a query list; the
  * result cache is probed on the planning thread; cache misses run as
- * independent dual executions on the work-stealing pool
- * (query/scheduler.h); and the aggregator folds the per-query
+ * independent dual executions, each one tenant item of a worker
+ * pool (query/scheduler.h); and the aggregator folds the per-query
  * verdicts into a deterministic causality graph (query/graph.h).
  *
  * Determinism contract: for a fixed (module, world, sink config,
@@ -120,27 +120,6 @@ struct CampaignConfig
     bool siteProfile = false;
 
     /**
-     * Snapshot/fork execution (`--snapshot`): group the plan's
-     * queries by source, run each group's shared master/slave prefix
-     * once (the carrier, paused at the source's first touch), and run
-     * the remaining policies as forks resumed from the captured
-     * snapshot — S·P full runs become S prefix runs plus S·P suffix
-     * runs (ldx/snapshot.h). Verdicts and the graph are byte-identical
-     * to the non-snapshot path, which remains the oracle
-     * (tests/snapshot_test.cc). Incompatible with siteProfile: a
-     * fork's site counters would miss the prefix's attribution.
-     */
-    bool snapshot = false;
-
-    /**
-     * Fault injection for the fuzz harness: every fork's slave-memory
-     * restore skips the Nth dirty 4096-byte page — the planted
-     * stale-snapshot bug that the snapshot-equality oracle must
-     * catch (vm::Memory::restore). 0 = off.
-     */
-    std::uint64_t chaosDropSnapshotPage = 0;
-
-    /**
      * Process-wide sharded verdict cache (`ldx serve`). When set the
      * campaign probes and populates it instead of constructing a
      * private ResultCache; `cacheCapacity`/`cacheDir` are ignored
@@ -227,19 +206,6 @@ struct CampaignResult
     std::uint64_t cancelledQueries = 0;
     std::uint64_t failedQueries = 0;
     std::uint64_t timedOutQueries = 0;
-
-    // Snapshot/fork tallies (campaign.snapshot.* in the registry;
-    // zero when CampaignConfig::snapshot is off).
-    std::uint64_t snapshotPrefixRuns = 0; ///< carrier prefixes captured
-    std::uint64_t snapshotForks = 0;      ///< suffix-only runs
-    std::uint64_t snapshotInstrsSaved = 0; ///< prefix instrs not re-run
-    /**
-     * Dual (master+slave) prefix instructions actually executed, as
-     * measured by the probe trigger at each mutated source's first
-     * touch. Reported in BOTH modes (campaign.dual.prefix_instrs) —
-     * the snapshot speedup claim is this number's on-vs-off ratio.
-     */
-    std::uint64_t prefixInstrs = 0;
 
     /** Phase timing (enumerate / plan / probe-cache / execute /
      *  aggregate), completion order. */

@@ -94,8 +94,6 @@ profileJson(const CampaignResult &res, const obs::MetricsSnapshot &snap,
 
     out += ",\"sched\":{";
     out += "\"jobs\":" + obs::jsonNumber(snap.gaugeOr("campaign.sched.jobs"));
-    out += ",\"steals\":" +
-           obs::jsonNumber(snap.counterOr("campaign.sched.steals"));
     out += ",\"utilization\":" +
            obs::jsonNumber(snap.gaugeOr("campaign.sched.utilization"));
     out += ",\"worker_busy_seconds\":[";

@@ -20,61 +20,6 @@ runStatusName(RunStatus s)
     return "?";
 }
 
-namespace {
-
-/** Shared pool state: per-worker deques plus drain bookkeeping. */
-struct Pool
-{
-    explicit Pool(int jobs) : deques(jobs) {}
-
-    struct WorkerDeque
-    {
-        std::deque<std::size_t> items;
-    };
-
-    std::mutex mutex;
-    std::condition_variable workCv;  ///< workers: new work / shutdown
-    std::condition_variable roomCv;  ///< submitter: backlog drained
-    std::vector<WorkerDeque> deques;
-    std::size_t outstanding = 0; ///< submitted, not yet finished
-    bool closed = false;         ///< no further submissions
-
-    /**
-     * Pop work for @p self: front of its own deque, else steal from
-     * the back of the fullest peer. Returns false when no work is
-     * available anywhere.
-     */
-    bool
-    pop(int self, std::size_t &item, bool &stolen)
-    {
-        WorkerDeque &mine = deques[self];
-        if (!mine.items.empty()) {
-            item = mine.items.front();
-            mine.items.pop_front();
-            stolen = false;
-            return true;
-        }
-        int victim = -1;
-        std::size_t best = 0;
-        for (int w = 0; w < static_cast<int>(deques.size()); ++w) {
-            if (w == self)
-                continue;
-            if (deques[w].items.size() > best) {
-                best = deques[w].items.size();
-                victim = w;
-            }
-        }
-        if (victim < 0)
-            return false;
-        item = deques[victim].items.back();
-        deques[victim].items.pop_back();
-        stolen = true;
-        return true;
-    }
-};
-
-} // namespace
-
 std::vector<RunOutcome>
 runOnPool(std::size_t count, const std::function<void(std::size_t)> &fn,
           const SchedulerConfig &cfg)
@@ -83,188 +28,14 @@ runOnPool(std::size_t count, const std::function<void(std::size_t)> &fn,
         return cfg.shared->runTenant(count, fn, cfg);
     if (cfg.jobs < 1)
         fatal("scheduler requires jobs >= 1");
-    if (cfg.queueCap < 1)
-        fatal("scheduler requires queueCap >= 1");
-
-    std::vector<RunOutcome> outcomes(count);
-    Pool pool(cfg.jobs);
-    obs::Counter *steals =
-        cfg.registry ? &cfg.registry->counter("campaign.sched.steals")
-                     : nullptr;
-    obs::Counter *completed =
-        cfg.registry
-            ? &cfg.registry->counter("campaign.sched.completed")
-            : nullptr;
-    obs::Histogram *latency =
-        cfg.registry
-            ? &cfg.registry->histogram("campaign.query_seconds",
-                                       obs::latencySecondsBounds())
-            : nullptr;
-    obs::Histogram *queue_wait =
-        cfg.registry
-            ? &cfg.registry->histogram("campaign.queue_wait_seconds",
-                                       obs::latencySecondsBounds())
-            : nullptr;
-    obs::Gauge *active_gauge =
-        cfg.registry
-            ? &cfg.registry->gauge("campaign.sched.active_workers")
-            : nullptr;
-
-    // Telemetry shared state: submission timestamps (for queue-wait
-    // spans) and per-worker busy time (for utilization gauges).
-    std::vector<std::int64_t> submit_us(count, 0);
-    std::vector<double> busy_seconds(cfg.jobs, 0.0);
-    std::atomic<int> active{0};
-    auto t_pool = std::chrono::steady_clock::now();
-
-    auto worker = [&](int self) {
-        for (;;) {
-            std::size_t item = 0;
-            bool stolen = false;
-            {
-                std::unique_lock<std::mutex> lock(pool.mutex);
-                pool.workCv.wait(lock, [&] {
-                    bool any = false;
-                    for (const Pool::WorkerDeque &d : pool.deques)
-                        any |= !d.items.empty();
-                    return any || pool.closed;
-                });
-                if (!pool.pop(self, item, stolen)) {
-                    if (pool.closed)
-                        return;
-                    continue;
-                }
-            }
-            if (stolen && steals)
-                steals->inc();
-
-            RunOutcome &out = outcomes[item];
-            out.worker = self;
-            out.startUs = obs::nowUs();
-            out.queueWaitSeconds =
-                (out.startUs - submit_us[item]) / 1e6;
-            if (queue_wait)
-                queue_wait->observe(out.queueWaitSeconds);
-            std::uint64_t span =
-                cfg.spanIds ? (*cfg.spanIds)[item] : item;
-            obs::emitSpan(cfg.traceSink, "query.queue-wait", span,
-                          obs::kWorkerLaneBase + self,
-                          submit_us[item],
-                          out.startUs - submit_us[item]);
-            if (active_gauge)
-                active_gauge->set(
-                    active.fetch_add(1, std::memory_order_relaxed) +
-                    1);
-            auto t0 = std::chrono::steady_clock::now();
-            try {
-                fn(item);
-                out.status = RunStatus::Done;
-            } catch (const std::exception &e) {
-                out.status = RunStatus::Failed;
-                out.error = e.what();
-            } catch (...) {
-                out.status = RunStatus::Failed;
-                out.error = "unknown exception";
-            }
-            out.seconds = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
-            busy_seconds[self] += out.seconds;
-            obs::emitSpan(cfg.traceSink, "query.exec", span,
-                          obs::kWorkerLaneBase + self, out.startUs,
-                          static_cast<std::int64_t>(out.seconds *
-                                                    1e6));
-            if (active_gauge)
-                active_gauge->set(
-                    active.fetch_sub(1, std::memory_order_relaxed) -
-                    1);
-            if (latency)
-                latency->observe(out.seconds);
-            if (completed)
-                completed->inc();
-            {
-                std::lock_guard<std::mutex> lock(pool.mutex);
-                --pool.outstanding;
-            }
-            pool.roomCv.notify_one();
-        }
-    };
-
-    if (cfg.traceSink) {
-        for (int w = 0; w < cfg.jobs; ++w)
-            cfg.traceSink->setLaneName(obs::kWorkerLaneBase + w,
-                                       "worker-" + std::to_string(w));
-    }
-
-    std::vector<std::thread> threads;
-    threads.reserve(cfg.jobs);
-    for (int w = 0; w < cfg.jobs; ++w)
-        threads.emplace_back(worker, w);
-
-    // Submission loop: round-robin into the worker deques, blocking
-    // while the backlog is at the admission cap. Cancellation stops
-    // submission; already-queued work still runs (graceful drain of
-    // the accepted set only — unsubmitted queries stay Cancelled).
-    std::uint64_t cancelled = 0;
-    {
-        int next_worker = 0;
-        for (std::size_t i = 0; i < count; ++i) {
-            if (cfg.cancel &&
-                cfg.cancel->load(std::memory_order_relaxed)) {
-                cancelled = count - i;
-                break;
-            }
-            {
-                std::unique_lock<std::mutex> lock(pool.mutex);
-                pool.roomCv.wait(lock, [&] {
-                    return pool.outstanding < cfg.queueCap;
-                });
-                submit_us[i] = obs::nowUs();
-                pool.deques[next_worker].items.push_back(i);
-                ++pool.outstanding;
-            }
-            pool.workCv.notify_one();
-            next_worker = (next_worker + 1) % cfg.jobs;
-        }
-    }
-    {
-        std::lock_guard<std::mutex> lock(pool.mutex);
-        pool.closed = true;
-    }
-    pool.workCv.notify_all();
-    for (std::thread &t : threads)
-        t.join();
-
-    if (cfg.registry) {
-        cfg.registry->counter("campaign.sched.submitted")
-            .inc(count - cancelled);
-        cfg.registry->counter("campaign.sched.cancelled").inc(cancelled);
-        cfg.registry->gauge("campaign.sched.jobs")
-            .set(static_cast<double>(cfg.jobs));
-        cfg.registry->gauge("campaign.sched.active_workers").set(0.0);
-
-        // Utilization: busy seconds per worker over the pool's wall
-        // time (observability only — never in the campaign output).
-        double wall = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - t_pool)
-                          .count();
-        double busy_total = 0.0;
-        for (int w = 0; w < cfg.jobs; ++w) {
-            busy_total += busy_seconds[w];
-            cfg.registry
-                ->gauge("campaign.sched.worker." +
-                        std::to_string(w) + ".busy_seconds")
-                .set(busy_seconds[w]);
-        }
-        cfg.registry->gauge("campaign.sched.utilization")
-            .set(wall > 0.0 ? busy_total / (wall * cfg.jobs) : 0.0);
-    }
-    return outcomes;
+    // A one-tenant pool of the campaign's own workers. No pool
+    // registry: the serve.* gauges belong to a daemon, and the
+    // campaign.sched.* tallies land in cfg.registry either way.
+    SharedPool::Config pool_cfg;
+    pool_cfg.jobs = cfg.jobs;
+    SharedPool pool(pool_cfg);
+    return pool.runTenant(count, fn, cfg);
 }
-
-// ---------------------------------------------------------------
-// SharedPool
-// ---------------------------------------------------------------
 
 /** One registered campaign: its queue plus its result plumbing. */
 struct SharedPool::Tenant
@@ -274,6 +45,14 @@ struct SharedPool::Tenant
     std::vector<RunOutcome> *outcomes = nullptr;
     std::vector<std::int64_t> *submitUs = nullptr;
     const SchedulerConfig *cfg = nullptr;
+    /** Per-worker busy seconds (slot w written by worker w only). */
+    std::vector<double> busySeconds;
+    std::atomic<int> active{0}; ///< this tenant's items running now
+    // The tenant's campaign.* instruments (null without a registry).
+    obs::Histogram *queueWait = nullptr;
+    obs::Histogram *latency = nullptr;
+    obs::Counter *completed = nullptr;
+    obs::Gauge *activeGauge = nullptr;
     std::size_t outstanding = 0; ///< submitted, not yet finished
     bool closed = false;
     std::condition_variable roomCv; ///< submitter: backlog below cap
@@ -359,11 +138,8 @@ SharedPool::workerLoop(int self)
         out.worker = self;
         out.startUs = obs::nowUs();
         out.queueWaitSeconds = (out.startUs - submitted) / 1e6;
-        if (tcfg.registry)
-            tcfg.registry
-                ->histogram("campaign.queue_wait_seconds",
-                            obs::latencySecondsBounds())
-                .observe(out.queueWaitSeconds);
+        if (t->queueWait)
+            t->queueWait->observe(out.queueWaitSeconds);
         std::uint64_t span =
             tcfg.spanIds ? (*tcfg.spanIds)[item] : item;
         obs::emitSpan(tcfg.traceSink, "query.queue-wait", span,
@@ -373,6 +149,9 @@ SharedPool::workerLoop(int self)
             active_gauge->set(
                 activeWorkers_.fetch_add(1, std::memory_order_relaxed) +
                 1);
+        if (t->activeGauge)
+            t->activeGauge->set(
+                t->active.fetch_add(1, std::memory_order_relaxed) + 1);
         auto t0 = std::chrono::steady_clock::now();
         try {
             (*t->fn)(item);
@@ -387,16 +166,17 @@ SharedPool::workerLoop(int self)
         out.seconds = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - t0)
                           .count();
+        t->busySeconds[self] += out.seconds;
         obs::emitSpan(tcfg.traceSink, "query.exec", span,
                       obs::kWorkerLaneBase + self, out.startUs,
                       static_cast<std::int64_t>(out.seconds * 1e6));
-        if (tcfg.registry) {
-            tcfg.registry
-                ->histogram("campaign.query_seconds",
-                            obs::latencySecondsBounds())
-                .observe(out.seconds);
-            tcfg.registry->counter("campaign.sched.completed").inc();
-        }
+        if (t->activeGauge)
+            t->activeGauge->set(
+                t->active.fetch_sub(1, std::memory_order_relaxed) - 1);
+        if (t->latency)
+            t->latency->observe(out.seconds);
+        if (t->completed)
+            t->completed->inc();
         if (completed)
             completed->inc();
         if (active_gauge)
@@ -439,6 +219,18 @@ SharedPool::runTenant(std::size_t count,
     tenant.outcomes = &outcomes;
     tenant.submitUs = &submit_us;
     tenant.cfg = &cfg;
+    tenant.busySeconds.assign(static_cast<std::size_t>(jobs_), 0.0);
+    if (cfg.registry) {
+        tenant.queueWait = &cfg.registry->histogram(
+            "campaign.queue_wait_seconds", obs::latencySecondsBounds());
+        tenant.latency = &cfg.registry->histogram(
+            "campaign.query_seconds", obs::latencySecondsBounds());
+        tenant.completed =
+            &cfg.registry->counter("campaign.sched.completed");
+        tenant.activeGauge =
+            &cfg.registry->gauge("campaign.sched.active_workers");
+    }
+    auto t_tenant = std::chrono::steady_clock::now();
 
     if (cfg.traceSink) {
         for (int w = 0; w < jobs_; ++w)
@@ -455,10 +247,9 @@ SharedPool::runTenant(std::size_t count,
         tenants_.push_back(&tenant);
     }
 
-    // Submission loop: identical admission semantics to the private
-    // pool — block while this tenant's backlog is at its queueCap;
-    // stop on cancel (queued items still run, unsubmitted stay
-    // Cancelled).
+    // Submission loop: block while this tenant's backlog is at its
+    // queueCap; stop on cancel (queued items still run, unsubmitted
+    // stay Cancelled).
     std::uint64_t cancelled = 0;
     for (std::size_t i = 0; i < count; ++i) {
         if (cfg.cancel && cfg.cancel->load(std::memory_order_relaxed)) {
@@ -499,6 +290,23 @@ SharedPool::runTenant(std::size_t count,
             .inc(cancelled);
         cfg.registry->gauge("campaign.sched.jobs")
             .set(static_cast<double>(jobs_));
+        cfg.registry->gauge("campaign.sched.active_workers").set(0.0);
+
+        // Utilization: busy seconds per worker over the tenant's wall
+        // time (observability only — never in the campaign output).
+        double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t_tenant)
+                          .count();
+        double busy_total = 0.0;
+        for (int w = 0; w < jobs_; ++w) {
+            busy_total += tenant.busySeconds[w];
+            cfg.registry
+                ->gauge("campaign.sched.worker." + std::to_string(w) +
+                        ".busy_seconds")
+                .set(tenant.busySeconds[w]);
+        }
+        cfg.registry->gauge("campaign.sched.utilization")
+            .set(wall > 0.0 ? busy_total / (wall * jobs_) : 0.0);
     }
     return outcomes;
 }

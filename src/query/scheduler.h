@@ -1,23 +1,24 @@
 /**
  * @file
- * Bounded work-stealing scheduler for campaign queries.
+ * Bounded worker pool for campaign queries.
  *
  * The pool runs one dual-execution pair per query on a fixed set of
- * worker threads. Design constraints (docs/CAMPAIGN.md "Scheduler
- * semantics"):
+ * worker threads. Every campaign is a *tenant* of a SharedPool: the
+ * process-wide one under `ldx serve`, or a pool of its own `jobs`
+ * workers built for the run. Design constraints (docs/CAMPAIGN.md
+ * "Scheduler semantics"):
  *
  *  - *Determinism*: results are collected into a slot array indexed
- *    by query id and aggregated only after the pool drains, so the
- *    campaign's output is byte-identical regardless of worker count,
- *    stealing, or completion order.
+ *    by query id and aggregated only after the tenant drains, so the
+ *    campaign's output is byte-identical regardless of worker count
+ *    or completion order.
  *  - *Admission control*: at most `queueCap` queries are outstanding
  *    (queued but unfinished) at once; the submitting thread blocks
  *    until workers drain the backlog. This bounds memory for
  *    campaigns with hundreds of thousands of queries.
- *  - *Work stealing*: each worker owns a deque fed round-robin; a
- *    worker that runs dry pops from the back of the fullest peer
- *    deque (campaign.sched.steals counts them), so one slow query
- *    never idles the rest of the pool.
+ *  - *Fairness*: workers draw one item per visit from the tenants in
+ *    a rotating order, so one huge campaign cannot starve the rest;
+ *    within a tenant, items run oldest-first.
  *  - *Cancellation / graceful drain*: when the cancel flag flips (the
  *    CLI's SIGINT handler), submission stops and queued-but-unstarted
  *    queries return Cancelled; in-flight queries run to completion so
@@ -80,7 +81,7 @@ struct RunOutcome
 /** Pool configuration. */
 struct SchedulerConfig
 {
-    /** Worker threads (>= 1). */
+    /** Worker threads of the run's own pool (>= 1; unused if shared). */
     int jobs = 1;
 
     /** Max outstanding (submitted, unfinished) queries (>= 1). */
@@ -109,12 +110,12 @@ struct SchedulerConfig
     const std::vector<std::size_t> *spanIds = nullptr;
 
     /**
-     * When set, the run executes as one *tenant* of this process-wide
-     * pool instead of spinning up private workers: `jobs` is ignored
-     * (the pool owns the thread count) while `queueCap`, `cancel`,
-     * `registry`, `traceSink` and `spanIds` keep their per-campaign
-     * meaning. Results still land in a slot array indexed by item,
-     * so campaign output stays byte-identical to a private pool run.
+     * When set, the run executes as one tenant of this process-wide
+     * pool instead of a pool of its own `jobs` workers: `jobs` is
+     * ignored (the pool owns the thread count) while `queueCap`,
+     * `cancel`, `registry`, `traceSink` and `spanIds` keep their
+     * per-campaign meaning. Results land in a slot array indexed by
+     * item either way, so campaign output is byte-identical.
      */
     SharedPool *shared = nullptr;
 };
@@ -132,11 +133,10 @@ std::vector<RunOutcome> runOnPool(std::size_t count,
  * Process-wide worker pool shared by many concurrent campaigns
  * (`ldx serve`). Each campaign registers as a *tenant* with its own
  * FIFO queue; workers draw from tenants with a rotating fair cursor,
- * one item per visit, so a huge job cannot starve small ones — the
- * tenant-level fair dequeue replaces intra-pool stealing (within a
- * tenant, items run oldest-first). Per-tenant admission stays the
- * campaign's own `queueCap`, so a tenant's submitter blocks while
- * its backlog is at cap exactly like the private pool.
+ * one item per visit, so a huge job cannot starve small ones (within
+ * a tenant, items run oldest-first). Per-tenant admission is the
+ * campaign's own `queueCap`: a tenant's submitter blocks while its
+ * backlog is at cap.
  *
  * Determinism: outcomes land in the tenant's slot array and each
  * campaign aggregates only after its own drain, so the bytes a
@@ -167,9 +167,10 @@ class SharedPool
     std::size_t tenantCount() const;
 
     /**
-     * Execute one campaign's items as a tenant. Called by runOnPool
-     * when SchedulerConfig::shared is set; blocks until every
-     * submitted item finished (cancelled items are never started).
+     * Execute one campaign's items as a tenant (runOnPool's only
+     * path); blocks until every submitted item finished (cancelled
+     * items are never started). Writes the tenant's campaign.sched.*
+     * tallies and post-drain gauges into cfg.registry.
      */
     std::vector<RunOutcome>
     runTenant(std::size_t count,

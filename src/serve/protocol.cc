@@ -67,7 +67,6 @@ parseSubmit(const JsonValue &frame, std::string *error)
 
     if (frame.find("offset"))
         req.offset = frame.uintOr("offset", 0);
-    req.snapshot = frame.boolOr("snapshot", false);
     req.threaded = frame.boolOr("threaded", false);
     if (frame.find("deadline_ms")) {
         std::uint64_t d = frame.uintOr("deadline_ms", 0);
@@ -138,8 +137,6 @@ renderSubmit(const SubmitRequest &req)
         out += ",\"offset\":";
         out += std::to_string(*req.offset);
     }
-    if (req.snapshot)
-        out += ",\"snapshot\":true";
     if (req.threaded)
         out += ",\"threaded\":true";
     if (req.deadlineMs) {

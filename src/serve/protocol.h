@@ -60,7 +60,6 @@ struct SubmitRequest
     std::vector<std::string> policies;
 
     std::optional<std::uint64_t> offset; ///< mutation byte offset
-    bool snapshot = false;
     bool threaded = false;
     std::optional<std::uint64_t> deadlineMs;
 };

@@ -237,7 +237,6 @@ Server::handleSubmit(Connection &conn, const SubmitRequest &req)
     }
     if (req.offset)
         cc.offset = static_cast<std::size_t>(*req.offset);
-    cc.snapshot = req.snapshot;
     cc.threaded = req.threaded;
     if (req.deadlineMs)
         cc.deadlineSeconds = static_cast<double>(*req.deadlineMs) / 1e3;

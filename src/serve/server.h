@@ -7,7 +7,7 @@
  * connection is one client; each accepted `submit` frame runs a full
  * campaign as one *tenant* of the process-wide machinery:
  *
- *  - one shared work-stealing pool (query::SharedPool) executes
+ *  - one shared worker pool (query::SharedPool) executes
  *    every tenant's dual executions with per-tenant fair dequeue,
  *  - one process-wide sharded verdict cache
  *    (query::ShardedResultCache) makes a repeat submission of any

@@ -10,6 +10,30 @@ namespace {
 
 constexpr std::int64_t kTokenTag = 0x5a00000000000000LL;
 
+/**
+ * Guest Add/Sub/Mul/Neg (Neg ignores @p b). Guest integers wrap on
+ * overflow, so the arithmetic is done in uint64_t, where C++ defines
+ * wraparound, and cast back; signed overflow would be undefined.
+ * Every dispatch path goes through this one helper.
+ */
+template <ir::Opcode Op>
+inline std::int64_t
+wrapArith(std::int64_t a, std::int64_t b = 0)
+{
+    const auto ua = static_cast<std::uint64_t>(a);
+    const auto ub = static_cast<std::uint64_t>(b);
+    if constexpr (Op == ir::Opcode::Add)
+        return static_cast<std::int64_t>(ua + ub);
+    else if constexpr (Op == ir::Opcode::Sub)
+        return static_cast<std::int64_t>(ua - ub);
+    else if constexpr (Op == ir::Opcode::Mul)
+        return static_cast<std::int64_t>(ua * ub);
+    else {
+        static_assert(Op == ir::Opcode::Neg, "not a wrapping opcode");
+        return static_cast<std::int64_t>(std::uint64_t{0} - ua);
+    }
+}
+
 } // namespace
 
 const char *
@@ -235,8 +259,6 @@ Machine::step()
     checkInvariant(started_, "Machine::step before start");
     if (finished_)
         return trap_ ? StepStatus::Trapped : StepStatus::Finished;
-    if (pausePending_)
-        return StepStatus::Stalled;
 
     int n = static_cast<int>(contexts_.size());
     std::vector<bool> tried(static_cast<std::size_t>(n), false);
@@ -272,10 +294,6 @@ Machine::step()
             --sliceLeft_;
             return StepStatus::Progress;
         }
-        // Pause before the rotate bookkeeping: the scheduler state
-        // stays exactly what it was going into this blocked attempt.
-        if (pausePending_)
-            return StepStatus::Stalled;
         // Blocked; rotate to the next candidate.
         sliceLeft_ = 0;
     }
@@ -314,8 +332,6 @@ Machine::stepMany(std::uint64_t budget, std::uint64_t &retired)
     checkInvariant(started_, "Machine::stepMany before start");
     if (finished_)
         return trap_ ? StepStatus::Trapped : StepStatus::Finished;
-    if (pausePending_)
-        return StepStatus::Stalled;
 
     if (!useFastPath()) {
         // Legacy oracle path: byte-for-byte the seed interpreter.
@@ -403,9 +419,6 @@ Machine::stepMany(std::uint64_t budget, std::uint64_t &retired)
         retired += got;
         if (finished_)
             return trap_ ? StepStatus::Trapped : StepStatus::Finished;
-        // Pause before the poll-set/slice bookkeeping (see step()).
-        if (pausePending_)
-            return StepStatus::Stalled;
         if (got > 0) {
             ++triedGen_; // progress resets the polled set
         } else {
@@ -436,63 +449,6 @@ Machine::run()
     }
 }
 
-MachineImage
-Machine::captureImage() const
-{
-    MachineImage img;
-    img.memory = memory_->snapshot();
-    img.contexts.reserve(contexts_.size());
-    for (const auto &ctx : contexts_)
-        img.contexts.push_back(*ctx);
-    img.curCtx = curCtx_;
-    img.sliceLeft = sliceLeft_;
-    img.schedPrng = schedPrng_;
-    img.triedSeen = triedSeen_;
-    img.triedGen = triedGen_;
-    img.mutexOwner = mutexOwner_;
-    img.mutexWaiters = mutexWaiters_;
-    img.started = started_;
-    img.finished = finished_;
-    img.exitCode = exitCode_;
-    img.trap = trap_;
-    img.totalInstrs = totalInstrs_;
-    img.totalSyscalls = totalSyscalls_;
-    img.chaosCntAdds = chaosCntAdds_;
-    img.totalBarriers = totalBarriers_;
-    img.opCounts = opCounts_;
-    return img;
-}
-
-void
-Machine::restoreImage(const MachineImage &image,
-                      std::uint64_t chaos_drop_page)
-{
-    checkInvariant(image.memory != nullptr,
-                   "restoreImage on an empty MachineImage");
-    memory_->restore(*image.memory, chaos_drop_page);
-    contexts_.clear();
-    contexts_.reserve(image.contexts.size());
-    for (const Context &ctx : image.contexts)
-        contexts_.push_back(std::make_unique<Context>(ctx));
-    curCtx_ = image.curCtx;
-    sliceLeft_ = image.sliceLeft;
-    schedPrng_ = image.schedPrng;
-    triedSeen_ = image.triedSeen;
-    triedGen_ = image.triedGen;
-    mutexOwner_ = image.mutexOwner;
-    mutexWaiters_ = image.mutexWaiters;
-    started_ = image.started;
-    finished_ = image.finished;
-    exitCode_ = image.exitCode;
-    trap_ = image.trap;
-    totalInstrs_ = image.totalInstrs;
-    totalSyscalls_ = image.totalSyscalls;
-    chaosCntAdds_ = image.chaosCntAdds;
-    totalBarriers_ = image.totalBarriers;
-    opCounts_ = image.opCounts;
-    pausePending_ = false;
-}
-
 bool
 Machine::executeOne(Context &ctx)
 {
@@ -521,9 +477,9 @@ Machine::executeOne(Context &ctx)
 
     auto arith = [&](std::int64_t a, std::int64_t b) -> std::int64_t {
         switch (instr.op) {
-          case ir::Opcode::Add: return a + b;
-          case ir::Opcode::Sub: return a - b;
-          case ir::Opcode::Mul: return a * b;
+          case ir::Opcode::Add: return wrapArith<ir::Opcode::Add>(a, b);
+          case ir::Opcode::Sub: return wrapArith<ir::Opcode::Sub>(a, b);
+          case ir::Opcode::Mul: return wrapArith<ir::Opcode::Mul>(a, b);
           case ir::Opcode::Div:
             if (b == 0)
                 throw VmTrap(TrapKind::DivideByZero, "division by zero");
@@ -584,7 +540,7 @@ Machine::executeOne(Context &ctx)
         ++fr.ip;
         break;
       case ir::Opcode::Neg:
-        result = -eval(ctx, instr.a);
+        result = wrapArith<ir::Opcode::Neg>(eval(ctx, instr.a));
         setReg(ctx, instr.dst, result);
         has_result = true;
         ++fr.ip;
@@ -836,11 +792,23 @@ Machine::fastRun(Context &ctx, std::uint64_t limit)
             switch (d.op) {
               case ir::Opcode::Const: set(d.imm); ++pc; break;
               case ir::Opcode::Move: set(A()); ++pc; break;
-              case ir::Opcode::Neg: set(-A()); ++pc; break;
+              case ir::Opcode::Neg:
+                set(wrapArith<ir::Opcode::Neg>(A()));
+                ++pc;
+                break;
               case ir::Opcode::Not: set(~A()); ++pc; break;
-              case ir::Opcode::Add: set(A() + B()); ++pc; break;
-              case ir::Opcode::Sub: set(A() - B()); ++pc; break;
-              case ir::Opcode::Mul: set(A() * B()); ++pc; break;
+              case ir::Opcode::Add:
+                set(wrapArith<ir::Opcode::Add>(A(), B()));
+                ++pc;
+                break;
+              case ir::Opcode::Sub:
+                set(wrapArith<ir::Opcode::Sub>(A(), B()));
+                ++pc;
+                break;
+              case ir::Opcode::Mul:
+                set(wrapArith<ir::Opcode::Mul>(A(), B()));
+                ++pc;
+                break;
               case ir::Opcode::Div: {
                 std::int64_t a = A(), b = B();
                 if (b == 0)
@@ -1332,7 +1300,7 @@ Machine::doLibCall(Context &ctx, const ir::Instr &instr,
       case ir::LibRoutine::Atoi: {
         std::string s = memory_->readCString(
             static_cast<std::uint64_t>(argv(0)));
-        std::int64_t v = 0;
+        std::uint64_t v = 0; // wraps on overflow, like guest arithmetic
         std::size_t i = 0;
         bool neg = false;
         while (i < s.size() && (s[i] == ' ' || s[i] == '\t'))
@@ -1342,8 +1310,8 @@ Machine::doLibCall(Context &ctx, const ir::Instr &instr,
             ++i;
         }
         for (; i < s.size() && s[i] >= '0' && s[i] <= '9'; ++i)
-            v = v * 10 + (s[i] - '0');
-        return neg ? -v : v;
+            v = v * 10 + static_cast<std::uint64_t>(s[i] - '0');
+        return static_cast<std::int64_t>(neg ? 0 - v : v);
       }
       case ir::LibRoutine::Itoa: {
         std::uint64_t buf = static_cast<std::uint64_t>(argv(1));

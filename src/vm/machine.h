@@ -222,41 +222,6 @@ struct MachineStats
 /** Function-address token encoding used by FnAddr / ICall. */
 constexpr std::int64_t kFnTokenBase = 0x7c00000000000000LL;
 
-/**
- * A full machine checkpoint: every piece of interpreter state needed
- * to resume (or fork) an execution bit-identically — contexts with
- * their frames and counter runtime, the scheduler (current context,
- * remaining slice, jitter PRNG, poll bookkeeping), guest memory, the
- * mutex tables, and the retirement statistics. The memory arena is
- * shared by shared_ptr, so many forks of one snapshot alias a single
- * copy. Produced by Machine::captureImage(), consumed by
- * Machine::restoreImage() on a machine built from the same module
- * and an equivalent MachineConfig.
- */
-struct MachineImage
-{
-    std::shared_ptr<const MemoryImage> memory;
-    std::vector<Context> contexts;
-    int curCtx = -1;
-    int sliceLeft = 0;
-    Prng schedPrng{1};
-    std::vector<std::uint64_t> triedSeen;
-    std::uint64_t triedGen = 0;
-    std::map<std::int64_t, std::int64_t> mutexOwner;
-    std::map<std::int64_t, std::vector<int>> mutexWaiters;
-    bool started = false;
-    bool finished = false;
-    std::int64_t exitCode = 0;
-    std::optional<TrapInfo> trap;
-    std::uint64_t totalInstrs = 0;
-    std::uint64_t totalSyscalls = 0;
-    std::uint64_t chaosCntAdds = 0;
-    std::uint64_t totalBarriers = 0;
-    std::array<std::uint64_t,
-               static_cast<std::size_t>(ir::kNumOpcodes)>
-        opCounts{};
-};
-
 /** The interpreter. */
 class Machine
 {
@@ -282,37 +247,6 @@ class Machine
 
     /** Run to completion (native, non-dual executions). */
     StepStatus run();
-
-    /**
-     * Ask the machine to stall at the current boundary. Checked
-     * before the blocked-poll bookkeeping mutates any scheduler state
-     * (slice, poll generation), so a paused machine's state is
-     * exactly the state an un-paused machine had going *into* the
-     * blocked attempt: clearing the pause and stepping again replays
-     * the attempt identically. Set by the snapshot trigger from
-     * inside a SyscallPort; step()/stepMany() report Stalled while
-     * pending.
-     */
-    void requestPause() { pausePending_ = true; }
-    void clearPause() { pausePending_ = false; }
-    bool pauseRequested() const { return pausePending_; }
-
-    /**
-     * Checkpoint the complete interpreter state (contexts, scheduler,
-     * memory arena, mutexes, statistics) into a MachineImage.
-     */
-    MachineImage captureImage() const;
-
-    /**
-     * Overwrite this machine's state from @p image. The machine must
-     * wrap the same module with an equivalent MachineConfig (same
-     * layout parameters); the kernel behind it is whatever this
-     * machine was constructed with — forking swaps in a patched
-     * kernel copy that way. @p chaos_drop_page forwards to
-     * Memory::restore (stale-snapshot fault injection).
-     */
-    void restoreImage(const MachineImage &image,
-                      std::uint64_t chaos_drop_page = 0);
 
     bool finished() const { return finished_; }
     std::int64_t exitCode() const { return exitCode_; }
@@ -467,7 +401,6 @@ class Machine
 
     bool started_ = false;
     bool finished_ = false;
-    bool pausePending_ = false;
     std::int64_t exitCode_ = 0;
     std::optional<TrapInfo> trap_;
     std::uint64_t totalInstrs_ = 0;

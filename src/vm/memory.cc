@@ -110,56 +110,6 @@ Memory::readCString(std::uint64_t addr, std::uint64_t max_len) const
     return out;
 }
 
-std::shared_ptr<const MemoryImage>
-Memory::snapshot() const
-{
-    auto image = std::make_shared<MemoryImage>();
-    image->globals = globals_;
-    image->stacks = stacks_;
-    image->heap = heap_;
-    image->heapBrk = heapBrk_;
-    return image;
-}
-
-void
-Memory::restore(const MemoryImage &image, std::uint64_t chaos_drop_page)
-{
-    // Segment-by-segment copy over the concatenation
-    // globals | stacks | heap. The injector skips the Nth *dirty*
-    // page — one whose current bytes differ from the image — which
-    // models the stale-snapshot bug (a dirtied copy-on-write page
-    // whose capture was missed): the page silently keeps its
-    // pre-restore content. Pages already matching the image don't
-    // count, so the skip is observable whenever it happens at all;
-    // with fewer than N dirty pages the restore is complete and the
-    // injection is a no-op.
-    std::vector<std::uint8_t> *segs[3] = {&globals_, &stacks_, &heap_};
-    const std::vector<std::uint8_t> *srcs[3] = {&image.globals,
-                                                &image.stacks,
-                                                &image.heap};
-    std::uint64_t dirty_seen = 0;
-    for (int s = 0; s < 3; ++s) {
-        const std::vector<std::uint8_t> &src = *srcs[s];
-        std::vector<std::uint8_t> &dst = *segs[s];
-        dst.resize(src.size(), 0);
-        for (std::uint64_t off = 0; off < src.size();
-             off += kSnapshotPageSize) {
-            std::uint64_t n =
-                std::min<std::uint64_t>(kSnapshotPageSize,
-                                        src.size() - off);
-            if (chaos_drop_page &&
-                !std::equal(src.begin() + off, src.begin() + off + n,
-                            dst.begin() + off) &&
-                ++dirty_seen == chaos_drop_page)
-                continue;
-            std::copy(src.begin() + off, src.begin() + off + n,
-                      dst.begin() + off);
-        }
-    }
-    heapBrk_ = image.heapBrk;
-    ++version_;
-}
-
 std::uint64_t
 Memory::heapAlloc(std::uint64_t n)
 {

@@ -49,22 +49,6 @@ class VmTrap : public std::runtime_error
     TrapKind kind_;
 };
 
-/**
- * An arena checkpoint of every guest segment: the immutable image a
- * Memory::snapshot() produces and restore() consumes. One image is
- * shared (by shared_ptr) across every execution forked from the same
- * snapshot; execution itself keeps running on the flat segment
- * vectors, so the hot interpreter path pays nothing for the
- * versioning.
- */
-struct MemoryImage
-{
-    std::vector<std::uint8_t> globals;
-    std::vector<std::uint8_t> stacks;
-    std::vector<std::uint8_t> heap;
-    std::uint64_t heapBrk = 0;
-};
-
 /** Segmented guest memory. */
 class Memory : public os::MemAccess
 {
@@ -72,9 +56,6 @@ class Memory : public os::MemAccess
     static constexpr std::uint64_t kGlobalsBase = 0x10000;
     static constexpr std::uint64_t kStackBase = 0x01000000;
     static constexpr std::uint64_t kHeapBase = 0x40000000;
-
-    /** Page granularity of restore()'s fault-injection knob. */
-    static constexpr std::uint64_t kSnapshotPageSize = 4096;
 
     /**
      * @param globals_size  bytes of global storage
@@ -101,33 +82,6 @@ class Memory : public os::MemAccess
     /** Bump-allocate @p n heap bytes (8-aligned). */
     std::uint64_t heapAlloc(std::uint64_t n);
 
-    /**
-     * Checkpoint every segment into an immutable arena image. The
-     * image is cheap to share: forks restored from the same snapshot
-     * all alias one copy.
-     */
-    std::shared_ptr<const MemoryImage> snapshot() const;
-
-    /**
-     * Overwrite every segment from @p image (the layout — sizes,
-     * heap base jitter — must match the construction parameters, as
-     * it does when the image came from a same-configured Machine).
-     * Bumps the memory version.
-     *
-     * @p chaos_drop_page is the stale-snapshot fault injector: when
-     * non-zero, restore skips copying the Nth *dirty*
-     * kSnapshotPageSize page (one whose current bytes differ from the
-     * image, counted 1-based across globals+stacks+heap), leaving
-     * whatever bytes the segment already held — exactly the "fork
-     * that misses one dirtied COW page" bug the fuzz harness must
-     * catch. With fewer than N dirty pages the injection is a no-op.
-     */
-    void restore(const MemoryImage &image,
-                 std::uint64_t chaos_drop_page = 0);
-
-    /** Restores performed on this memory (0 = never restored). */
-    std::uint64_t version() const { return version_; }
-
     /** Top (highest address, exclusive) of thread @p tid's stack. */
     std::uint64_t stackTop(int tid) const;
 
@@ -146,7 +100,6 @@ class Memory : public os::MemAccess
     int maxThreads_;
     std::uint64_t heapBase_;
     std::uint64_t heapBrk_;
-    std::uint64_t version_ = 0;
 
     mutable std::vector<std::uint8_t> globals_;
     mutable std::vector<std::uint8_t> stacks_;

@@ -9,9 +9,7 @@
  * instrumentation, baseline enumeration, dual execution under every
  * policy, and graph aggregation: any change to any stage that
  * perturbs a campaign graph shows up as a byte diff against the
- * golden. The snapshot/fork path must reproduce the same goldens
- * (tests/workloads_test.cc), so the corpus also pins the
- * snapshot-equality wall to fixed artifacts.
+ * golden, at one worker and at several (tests/workloads_test.cc).
  *
  * The programs were picked for shape diversity: 2–4 queryable
  * sources, zero through four causal edges, single- and

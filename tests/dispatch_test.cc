@@ -17,6 +17,7 @@
 #include "obs/recorder.h"
 #include "os/kernel.h"
 #include "query/campaign.h"
+#include "testutil.h"
 #include "vm/machine.h"
 #include "vm/predecode.h"
 #include "workloads/workloads.h"
@@ -178,6 +179,58 @@ INSTANTIATE_TEST_SUITE_P(
         }
         return name;
     });
+
+/**
+ * Guest Add/Sub/Mul/Neg wrap on overflow (two's complement). A string
+ * hash whose multiply overflows on every round, INT64_MAX + 1,
+ * -INT64_MIN and INT64_MIN - 1 must print the uint64_t reference on
+ * the legacy step() path and under every dispatch mode, fused
+ * superinstructions included.
+ */
+TEST(DispatchWrapTest, OverflowWrapsOnEveryPath)
+{
+    const std::string source = R"(int main() {
+    int h = 7;
+    int i = 0;
+    while (i < 40) {
+        h = h * 31 + (i * 7 + 33);
+        i = i + 1;
+    }
+    int big = 0x7fffffffffffffff;
+    int low = big + 1;
+    printi(h);
+    puts(" ");
+    printi(low);
+    puts(" ");
+    printi(-low);
+    puts(" ");
+    printi(low - 1);
+    return 0;
+}
+)";
+    std::uint64_t h = 7;
+    for (std::uint64_t i = 0; i < 40; ++i)
+        h = h * 31 + (i * 7 + 33);
+    const std::int64_t min = std::numeric_limits<std::int64_t>::min();
+    const std::int64_t max = std::numeric_limits<std::int64_t>::max();
+    const std::string want = std::to_string(static_cast<std::int64_t>(h)) +
+                             " " + std::to_string(min) + " " +
+                             std::to_string(min) + " " +
+                             std::to_string(max);
+
+    vm::MachineConfig legacy;
+    legacy.predecode = false;
+    test::RunResult ref = test::runProgram(source, {}, legacy);
+    EXPECT_EQ(ref.trapMessage, "");
+    EXPECT_EQ(ref.console(), want) << "legacy";
+    for (vm::DispatchMode mode : kModes) {
+        vm::MachineConfig cfg;
+        cfg.dispatch = mode;
+        test::RunResult r = test::runProgram(source, {}, cfg);
+        EXPECT_EQ(r.trapMessage, "") << vm::dispatchModeName(mode);
+        EXPECT_EQ(r.console(), want) << vm::dispatchModeName(mode);
+    }
+}
 
 /**
  * stepMany batch boundaries x dispatch modes: the threaded dispatcher

@@ -200,50 +200,6 @@ TEST(FuzzInjection, SkippedCompensationCounterIsCaughtAndShrunk)
     EXPECT_LE(lines, 30) << "reproducer not minimal:\n" << sr.source;
 }
 
-TEST(FuzzInjection, DroppedSnapshotPageIsCaughtAndShrunk)
-{
-    // Plant the stale-snapshot bug: every fork's slave-memory restore
-    // silently skips one page, so a fork resumes from incomplete
-    // state. The snapshot-equality invariant (forked run vs full run)
-    // is the designed detector.
-    fuzz::OracleOptions opt;
-    opt.fullMatrix = false;
-    opt.checkDeterminism = false;
-    opt.chaosDropSnapshotPage = 1;
-    // Three mutation sources so the snapshot check triggers on the
-    // env var — touched late, after the program has dirtied memory
-    // the injector can then fail to restore.
-    opt.mutationSources = 3;
-    fuzz::Oracle oracle(opt);
-
-    std::uint64_t found = 0;
-    fuzz::SeedReport rep;
-    for (std::uint64_t seed = 1; seed <= 500 && !found; ++seed) {
-        rep = oracle.run(seed);
-        if (rep.compiled && !rep.violations.empty())
-            found = seed;
-    }
-    ASSERT_NE(found, 0u)
-        << "injected stale-snapshot bug not caught within 500 seeds";
-
-    bool snapshot_violation = false;
-    for (const fuzz::Violation &v : rep.violations)
-        snapshot_violation =
-            snapshot_violation || v.invariant == "snapshot-equality";
-    EXPECT_TRUE(snapshot_violation)
-        << rep.violations.front().describe();
-
-    fuzz::ProgramGenerator gen(found);
-    fuzz::Shrinker shrinker(oracle);
-    fuzz::ShrinkResult sr =
-        shrinker.shrink(found, gen.generateProgram());
-
-    // The reproducer (shrunk or not) still fails the same way.
-    fuzz::SeedReport min_rep = oracle.runSource(found, sr.source);
-    EXPECT_TRUE(min_rep.compiled);
-    EXPECT_FALSE(min_rep.violations.empty());
-}
-
 TEST(FuzzShrinker, CleanSeedShrinksToNothing)
 {
     // On a healthy engine nothing fails, so the shrinker's predicate

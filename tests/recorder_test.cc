@@ -63,6 +63,15 @@ struct InjectionPoint
     const char *syscall; ///< where the tainted resource is first read
 };
 
+// Print the injection syscall rather than the struct's raw bytes: the
+// default printer dumps the two string-literal addresses, which makes
+// the test names change with the binary's layout.
+void
+PrintTo(const InjectionPoint &p, std::ostream *os)
+{
+    *os << p.syscall;
+}
+
 class DivergenceLocalization
     : public ::testing::TestWithParam<InjectionPoint>
 {

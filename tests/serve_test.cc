@@ -106,7 +106,6 @@ TEST(Protocol, SubmitRoundTripsThroughTheWire)
     req.files["/in.txt"] = "data\n";
     req.policies = {"off-by-one", "zero"};
     req.offset = 3;
-    req.snapshot = true;
     req.threaded = true;
     req.deadlineMs = 1234;
 
@@ -122,9 +121,25 @@ TEST(Protocol, SubmitRoundTripsThroughTheWire)
     EXPECT_EQ(parsed->files, req.files);
     EXPECT_EQ(parsed->policies, req.policies);
     EXPECT_EQ(parsed->offset, req.offset);
-    EXPECT_TRUE(parsed->snapshot);
     EXPECT_TRUE(parsed->threaded);
     EXPECT_EQ(parsed->deadlineMs, req.deadlineMs);
+}
+
+TEST(Protocol, SubmitIgnoresRetiredSnapshotMember)
+{
+    // Old clients may still send "snapshot": the submit is accepted
+    // and the member ignored, like any other unknown one.
+    std::string err;
+    auto frame = serve::parseJson(
+        R"({"type":"submit","id":"j","workload":"mp3info",)"
+        R"("snapshot":true,"no_such_member":1})",
+        &err);
+    ASSERT_TRUE(frame.has_value()) << err;
+    auto parsed = serve::parseSubmit(*frame, &err);
+    ASSERT_TRUE(parsed.has_value()) << err;
+    EXPECT_EQ(parsed->workload, "mp3info");
+    EXPECT_EQ(serve::renderSubmit(*parsed).find("snapshot"),
+              std::string::npos);
 }
 
 TEST(Protocol, SubmitValidationRejectsBadRequests)

@@ -274,8 +274,9 @@ TEST_P(TelemetryJobs, TimedOutQueriesSpanAndFold)
     CollectingSink sink;
     CampaignConfig cfg = baseConfig(&reg, &sink);
     cfg.jobs = GetParam();
-    // The threaded supervisor polls the wall-clock cap unconditionally,
-    // so a sub-microsecond deadline reliably times every query out.
+    // The threaded supervisor judges the wall-clock cap by elapsed
+    // time, even when both sides finish first, so a sub-microsecond
+    // deadline times every query out deterministically.
     cfg.threaded = true;
     cfg.deadlineSeconds = 1e-9;
     CampaignResult res = runCampaign(

@@ -153,10 +153,10 @@ TEST(WorkloadRegistry, NamesAreUnique)
 // ---------------------------------------------------------------
 // Promoted golden corpus (src/workloads/corpus/): each checked-in
 // fuzzer program's campaign graph must match its golden byte for
-// byte — with the snapshot/fork path off AND on. A diff means some
-// stage of the pipeline (front end, instrumentation, enumeration,
-// dual execution, aggregation, snapshot resume) changed observable
-// behaviour; regenerate the goldens only for intentional changes.
+// byte — on one worker AND on four. A diff means some stage of the
+// pipeline (front end, instrumentation, enumeration, dual execution,
+// scheduling, aggregation) changed observable behaviour; regenerate
+// the goldens only for intentional changes.
 // ---------------------------------------------------------------
 
 std::string
@@ -191,13 +191,14 @@ TEST_P(GoldenCorpus, CampaignGraphMatchesGoldenBothModes)
         fuzz::ProgramGenerator::worldFor(entry->seed);
 
     query::CampaignConfig cfg;
-    query::CampaignResult off =
+    query::CampaignResult serial =
         query::runCampaign(*module, world, cfg);
-    EXPECT_EQ(off.graph.toJson(), golden);
+    EXPECT_EQ(serial.graph.toJson(), golden);
 
-    cfg.snapshot = true;
-    query::CampaignResult on = query::runCampaign(*module, world, cfg);
-    EXPECT_EQ(on.graph.toJson(), golden);
+    cfg.jobs = 4;
+    query::CampaignResult parallel =
+        query::runCampaign(*module, world, cfg);
+    EXPECT_EQ(parallel.graph.toJson(), golden);
 }
 
 std::vector<std::string>

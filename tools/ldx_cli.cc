@@ -106,21 +106,9 @@
  *   --inject-skip-cnt N  fault injection: skip every Nth CntAdd in
  *                        both VMs (oracle self-test; the sweep is
  *                        expected to fail)
- *   --inject-drop-snapshot-page N
- *                        fault injection: drop the Nth dirty memory
- *                        page from every snapshot fork's slave
- *                        restore (stale-snapshot self-test; the
- *                        sweep's snapshot-equality oracle is
- *                        expected to fail)
  *
  * Campaign options (campaign):
  *   --jobs N             worker threads (default 1)
- *   --snapshot[=off]     snapshot/fork execution (default off): run
- *                        each source's shared dual prefix once and
- *                        fork every policy from the captured state;
- *                        verdicts and graphs are byte-identical to
- *                        the full-run path (docs/CAMPAIGN.md);
- *                        incompatible with --site-profile-out
  *   --queue-cap N        max outstanding queries (default 256)
  *   --deadline-ms N      per-query deadline (default 30000)
  *   --policies LIST      comma list of off-by-one,zero,bit-flip,random
@@ -252,7 +240,6 @@ struct CliOptions
 
     // campaign
     int jobs = 1;
-    bool snapshot = false;
     std::size_t queueCap = 256;
     double deadlineMs = 30'000.0;
     std::vector<core::MutationStrategy> policies;
@@ -294,7 +281,6 @@ struct CliOptions
     std::string fuzzReplay;
     bool fuzzShrink = true;
     std::uint64_t fuzzInjectSkipCnt = 0;
-    std::uint64_t fuzzInjectDropSnapshotPage = 0;
 };
 
 [[noreturn]] void
@@ -568,14 +554,6 @@ parseArgs(int argc, char **argv)
             opt.fuzzInjectSkipCnt =
                 parseUint(next("--inject-skip-cnt"),
                           "--inject-skip-cnt");
-        } else if (arg == "--inject-drop-snapshot-page") {
-            opt.fuzzInjectDropSnapshotPage =
-                parseUint(next("--inject-drop-snapshot-page"),
-                          "--inject-drop-snapshot-page", 1);
-        } else if (arg == "--snapshot") {
-            opt.snapshot = true;
-        } else if (arg == "--snapshot=off") {
-            opt.snapshot = false;
         } else if (arg == "--jobs") {
             opt.jobs = static_cast<int>(
                 parseUint(next("--jobs"), "--jobs", 1));
@@ -1229,10 +1207,6 @@ cmdCampaign(const CliOptions &opt)
     cfg.deadlineSeconds = opt.deadlineMs / 1e3;
     cfg.cacheCapacity = opt.cacheCap;
     cfg.cacheDir = opt.cacheDir;
-    cfg.snapshot = opt.snapshot;
-    if (opt.snapshot && !opt.siteProfileOut.empty())
-        usage("--snapshot is incompatible with --site-profile-out "
-              "(a fork's site counters would miss the prefix)");
     cfg.cancel = &g_campaignCancel;
     cfg.registry = &registry;
     cfg.traceSink = sink.get();
@@ -1303,10 +1277,6 @@ cmdCampaign(const CliOptions &opt)
         << " executed, " << res.cancelledQueries << " cancelled, "
         << res.failedQueries << " failed, " << res.timedOutQueries
         << " timed out)\n";
-    if (opt.snapshot)
-        out << "snapshot: " << res.snapshotPrefixRuns
-            << " prefix runs, " << res.snapshotForks << " forks, "
-            << res.snapshotInstrsSaved << " instrs saved\n";
     out << res.graph.summaryText();
     for (std::size_t i = 0; i < res.queries.size(); ++i)
         if (res.outcomes[i].status == query::RunStatus::Failed)
@@ -1364,7 +1334,6 @@ fuzzOracleOptions(const CliOptions &opt)
     oopt.mutationSources = opt.fuzzMutations;
     oopt.fullMatrix = opt.fuzzMatrix == "full";
     oopt.chaosSkipCntAddPeriod = opt.fuzzInjectSkipCnt;
-    oopt.chaosDropSnapshotPage = opt.fuzzInjectDropSnapshotPage;
     oopt.imageCacheDir = opt.imageCacheDir;
     return oopt;
 }
@@ -1584,7 +1553,6 @@ cmdSubmit(const CliOptions &opt)
         req.policies.push_back(core::mutationStrategyName(p));
     if (opt.offsetSet)
         req.offset = opt.offset;
-    req.snapshot = opt.snapshot;
     req.threaded = opt.threaded;
     req.deadlineMs = static_cast<std::uint64_t>(opt.deadlineMs);
     return serve::runSubmit(sopt, std::cout, std::cerr);
