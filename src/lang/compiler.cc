@@ -198,7 +198,8 @@ class Codegen
             return e.value;
         if (e.kind == Expr::Kind::Unary &&
             e.op == static_cast<int>(Tok::Minus))
-            return -constEval(*e.lhs);
+            return static_cast<std::int64_t>(
+                0 - static_cast<std::uint64_t>(constEval(*e.lhs)));
         semaError(e.line, "global initializer must be constant");
     }
 

@@ -1,6 +1,7 @@
 #include "lang/lexer.h"
 
 #include <cctype>
+#include <cstdint>
 #include <map>
 
 #include "support/diag.h"
@@ -161,7 +162,16 @@ lex(const std::string &src)
             continue;
         }
         if (std::isdigit(static_cast<unsigned char>(c))) {
-            std::int64_t v = 0;
+            // Literals up to UINT64_MAX wrap to two's complement (so
+            // -9223372036854775808 is INT64_MIN); wider ones are
+            // rejected rather than overflowing.
+            std::uint64_t v = 0;
+            bool overflow = false;
+            auto accumulate = [&](std::uint64_t base, int d) {
+                overflow |= __builtin_mul_overflow(v, base, &v) ||
+                            __builtin_add_overflow(
+                                v, static_cast<std::uint64_t>(d), &v);
+            };
             if (c == '0' && (peek(1) == 'x' || peek(1) == 'X')) {
                 advance();
                 advance();
@@ -171,17 +181,19 @@ lex(const std::string &src)
                     char h = peek();
                     int d = h <= '9' ? h - '0'
                                      : (std::tolower(h) - 'a' + 10);
-                    v = v * 16 + d;
+                    accumulate(16, d);
                     advance();
                 }
             } else {
                 while (std::isdigit(static_cast<unsigned char>(peek()))) {
-                    v = v * 10 + (peek() - '0');
+                    accumulate(10, peek() - '0');
                     advance();
                 }
             }
+            if (overflow)
+                lexError(l, cl, "integer literal out of range");
             Token &t = push(Tok::Number, l, cl);
-            t.value = v;
+            t.value = static_cast<std::int64_t>(v);
             continue;
         }
         if (c == '"') {

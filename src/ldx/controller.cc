@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include <algorithm>
+#include <limits>
 
 #include "os/sysno.h"
 #include "support/diag.h"
@@ -214,6 +215,8 @@ Controller::fastPollBlocked(PollSite where, int tid, std::int64_t cnt,
         if (++polls > opts_.lockPollTimeout)
             return false;
         chan_.blockedPolls->inc();
+        if (roundsOn_)
+            roundPolls_.push_back(tid);
         return true;
     }
 
@@ -275,7 +278,58 @@ Controller::fastPollBlocked(PollSite where, int tid, std::int64_t cnt,
         waitExpired(tid, opts_.stallTimeout))
         return false;
     chan_.blockedPolls->inc();
+    if (roundsOn_)
+        roundPolls_.push_back(tid);
     return true;
+}
+
+void
+Controller::beginRound()
+{
+    roundsOn_ = true;
+    roundCalls_ = 0;
+    roundPolls_.clear();
+}
+
+std::uint64_t
+Controller::roundsToExpiry() const
+{
+    std::uint64_t left = std::numeric_limits<std::uint64_t>::max();
+    for (int tid : roundPolls_) {
+        const WaitState &w = waits_.at(tid);
+        switch (w.gate) {
+          case WaitState::Gate::SinkBehind:
+            break;
+          case WaitState::Gate::Lock:
+            left = std::min(left, opts_.lockPollTimeout -
+                                      lockPolls_.at({tid, w.gateLockId}));
+            break;
+          default:
+            left = std::min(left, opts_.stallTimeout - w.polls);
+            break;
+        }
+    }
+    return left;
+}
+
+void
+Controller::skipRounds(std::uint64_t n)
+{
+    for (int tid : roundPolls_) {
+        WaitState &w = waits_.at(tid);
+        switch (w.gate) {
+          case WaitState::Gate::SinkBehind:
+            break;
+          case WaitState::Gate::Lock:
+            lockPolls_.at({tid, w.gateLockId}) += n;
+            break;
+          default:
+            w.polls += n;
+            chan_.watchdogPolls->inc(n);
+            break;
+        }
+        chan_.blockedPolls->inc(n);
+    }
 }
 
 
@@ -369,6 +423,7 @@ vm::PortReply
 Controller::onSyscall(const vm::SyscallRequest &req, vm::Machine &vm,
                       os::Outcome &out)
 {
+    ++roundCalls_;
     const os::SysDesc &desc = os::sysDesc(req.sysNo);
     switch (desc.klass) {
       case os::SysClass::Local: {
@@ -891,6 +946,7 @@ Controller::onBarrier(int tid, std::int64_t site, std::int64_t iter,
                       vm::Machine &vm)
 {
     (void)vm;
+    ++roundCalls_;
     if (fastPollBlocked(PollSite::Barrier, tid, cnt,
                         static_cast<int>(site), iter))
         return vm::PortReply::Blocked;

@@ -24,9 +24,12 @@
  * its key is tainted and later syscalls touching it never couple.
  *
  * Every wait is guarded by a peer-progress watchdog: if the peer
- * retires no instructions across a large poll budget, the waiter
- * decouples instead of hanging (this also bounds the cost of threads
- * that exist in only one execution).
+ * retires no instructions across a poll budget (a count of polls, not
+ * a time), the waiter decouples instead of hanging (this also bounds
+ * the cost of threads that exist in only one execution). The lockstep
+ * driver does not spin through a mutual wait's idle rounds: once a
+ * round is quiescent it skips straight to the round in which the
+ * first budget expires (beginRound .. skipRounds below).
  *
  * Poll fast path: the VM re-issues a blocked request on every
  * scheduling round, so most controller invocations are re-polls whose
@@ -65,10 +68,18 @@ struct ControllerOptions
     /** Share lock-acquisition order master -> slave (§7). */
     bool shareLockOrder = true;
 
-    /** Polls with no peer progress before a lock wait taints. */
+    /**
+     * Polls of a slave lock-follow wait before its mutex is tainted
+     * and the wait decouples (counted per wait, not reset by peer
+     * progress).
+     */
     std::uint64_t lockPollTimeout = 50000;
 
-    /** Polls with no peer progress before any wait decouples. */
+    /**
+     * Consecutive polls of an input, sink or barrier wait with no
+     * peer progress before it decouples. SinkBehind waits carry no
+     * budget.
+     */
     std::uint64_t stallTimeout = 100000;
 
     /**
@@ -98,6 +109,40 @@ class Controller : public vm::SyscallPort
                       vm::Machine &vm) override;
     void onThreadDone(int tid, vm::Machine &vm) override;
     void onFinished(vm::Machine &vm) override;
+
+    // Lockstep idle fast-forward (docs/PERFORMANCE.md). A round is
+    // quiescent when every poll since beginRound() was answered
+    // Blocked from a gate that still holds; until a budget runs out,
+    // each further idle round then only counts one more poll per
+    // polled wait.
+
+    /** Start a lockstep round: forget the last round's polls. */
+    void beginRound();
+
+    /** Was every poll since beginRound() a fast-path Blocked? */
+    bool
+    roundQuiescent() const
+    {
+        return roundCalls_ == roundPolls_.size();
+    }
+
+    /**
+     * Idle rounds that can pass after a quiescent round before one
+     * of its polled waits runs out of budget: the minimum of
+     * stallTimeout − polls over the watchdog-guarded waits and
+     * lockPollTimeout − lockPolls over the lock-follow waits. The
+     * round after that many is the one that expires. UINT64_MAX when
+     * no polled wait carries a budget (every gate is SinkBehind).
+     */
+    std::uint64_t roundsToExpiry() const;
+
+    /**
+     * Count @p n more idle rounds of the last quiescent round's
+     * polls — wait and lock poll budgets, watchdog.polls and
+     * chan.blocked_polls — exactly as polling them would; requires
+     * n <= roundsToExpiry().
+     */
+    void skipRounds(std::uint64_t n);
 
   private:
     int self() const { return static_cast<int>(opts_.side); }
@@ -211,6 +256,15 @@ class Controller : public vm::SyscallPort
 
     /** Stable ThreadChannel pointers (channels are never removed). */
     std::map<int, ThreadChannel *> channelCache_;
+
+    /**
+     * Port polls since beginRound(), and the tids answered fast
+     * (recorded only once a driver has started rounds, so the
+     * threaded driver never accumulates them).
+     */
+    bool roundsOn_ = false;
+    std::size_t roundCalls_ = 0;
+    std::vector<int> roundPolls_;
 
     // Fast-poll scratch (avoids per-poll allocation).
     Position peerPosScratch_;

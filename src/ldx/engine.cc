@@ -140,6 +140,15 @@ class DualRun
     void driveLockstep();
     void driveThreaded();
 
+    /**
+     * Lockstep idle fast-forward after an idle round; false when the
+     * pair can never move again.
+     */
+    bool skipIdleRounds();
+
+    /** Declare the pair timed out and stop both sides where they are. */
+    void timeOut();
+
     const ir::Module &module_;
     const os::WorldSpec &world_;
     const EngineConfig &cfg_;
@@ -277,32 +286,87 @@ DualRun::driveLockstep()
         cfg_.lockstepQuantum
             ? cfg_.lockstepQuantum
             : std::numeric_limits<std::uint64_t>::max();
-    std::uint64_t idle_rounds = 0;
+    // The cap is judged by elapsed time, busy or idle, and the pair
+    // stops where it stands once it has passed. It is checked every
+    // 8192 rounds and, within a side's turn longer than kCapSlice
+    // instructions, between slices; a turn taken in slices retires
+    // exactly what one stepMany call would.
+    constexpr std::uint64_t kCapSlice = 1 << 20;
+    auto cap_passed = [this] {
+        return secondsSince(t0_) > cfg_.wallClockCap;
+    };
+    std::uint64_t rounds = 0;
     while (!(master_->finished() && slave_->finished())) {
+        masterCtl_->beginRound();
+        slaveCtl_->beginRound();
         bool progressed = false;
         for (int side = 0; side < 2; ++side) {
             vm::Machine &m = side == 0 ? *master_ : *slave_;
             if (m.finished())
                 continue;
-            std::uint64_t got = 0;
-            m.stepMany(kQuantum, got);
-            if (got) {
-                progressed = true;
-                chan_->progress[side].fetch_add(
-                    got, std::memory_order_relaxed);
+            std::uint64_t left = kQuantum;
+            vm::StepStatus st = vm::StepStatus::Progress;
+            while (st == vm::StepStatus::Progress && left > 0) {
+                std::uint64_t got = 0;
+                st = m.stepMany(std::min(left, kCapSlice), got);
+                left -= got;
+                if (got) {
+                    progressed = true;
+                    chan_->progress[side].fetch_add(
+                        got, std::memory_order_relaxed);
+                }
+                if (st == vm::StepStatus::Progress && left > 0 &&
+                    cap_passed()) {
+                    timeOut();
+                    return;
+                }
             }
         }
-        if (progressed) {
-            idle_rounds = 0;
-        } else {
-            driverIdle_->inc();
-            if (++idle_rounds % 8192 == 0 &&
-                secondsSince(t0_) > cfg_.wallClockCap) {
-                deadlocked_ = true;
-                chan_->abort.store(true, std::memory_order_release);
-            }
+        if (++rounds % 8192 == 0 && cap_passed()) {
+            timeOut();
+            return;
+        }
+        if (progressed)
+            continue;
+        driverIdle_->inc();
+        if (!skipIdleRounds()) {
+            timeOut();
+            return;
         }
     }
+}
+
+bool
+DualRun::skipIdleRounds()
+{
+    if (!masterCtl_->roundQuiescent() || !slaveCtl_->roundQuiescent())
+        return true;
+    for (const vm::Machine *m : {&*master_, &*slave_}) {
+        if (!m->finished() && !m->idleRoundRepeats())
+            return true;
+    }
+    // Every further round would repeat this one until the first
+    // budget expires; jump to the round in which it does and let that
+    // one run for real, so the decouple lands on the same poll.
+    const std::uint64_t n = std::min(masterCtl_->roundsToExpiry(),
+                                     slaveCtl_->roundsToExpiry());
+    if (n == std::numeric_limits<std::uint64_t>::max())
+        return false; // no wait has a budget: the pair can never move
+    for (vm::Machine *m : {&*master_, &*slave_}) {
+        if (!m->finished())
+            m->skipIdleRounds(n);
+    }
+    masterCtl_->skipRounds(n);
+    slaveCtl_->skipRounds(n);
+    driverIdle_->inc(n);
+    return true;
+}
+
+void
+DualRun::timeOut()
+{
+    deadlocked_ = true;
+    chan_->abort.store(true, std::memory_order_release);
 }
 
 void
@@ -321,7 +385,9 @@ DualRun::driveThreaded()
         std::int64_t start_us = obs::nowUs();
         auto side_t0 = std::chrono::steady_clock::now();
         std::uint64_t stalls = 0;
-        while (!m.finished()) {
+        // An abort (the cap passed) stops the side where it stands.
+        while (!m.finished() &&
+               !chan.abort.load(std::memory_order_relaxed)) {
             std::uint64_t got = 0;
             vm::StepStatus st = m.stepMany(128, got);
             if (got)
@@ -378,7 +444,7 @@ DualRun::driveThreaded()
             lock, deadline, [&sides_done] { return sides_done == 2; });
     }
     if (deadlocked_)
-        chan_->abort.store(true, std::memory_order_release);
+        timeOut();
     mt.join();
     st.join();
     // The cap is judged by elapsed time: a pair that outlasted it is
@@ -522,8 +588,9 @@ DualRun::finish()
             in.mutatedKeys = mutated_.taintKeys;
             in.taintedKeys.assign(res.taintedResources.begin(),
                                   res.taintedResources.end());
-            // Both VMs have finished and the driver threads are
-            // joined, so the channels are quiescent: read them
+            // Both sides have stopped (finished, or halted by a
+            // time-out) and the driver threads are joined, so the
+            // channels are quiescent: read them
             // without their mutexes (locking here would perturb the
             // chan.mutex_acquisitions tally).
             chan.forEachChannel([&in](int tid, ThreadChannel &ch) {

@@ -87,18 +87,27 @@ struct EngineConfig
     std::uint64_t nondetSalt = 1;
 
     /**
-     * Watchdog budgets (polls with no peer progress). A waiter only
-     * gives up when the peer retires nothing for this many polls —
-     * i.e. the pair is in a genuinely unresolvable mutual wait, where
-     * decoupling is the correct outcome anyway.
+     * Watchdog budgets, counted in polls, not time. An input, sink or
+     * barrier wait gives up after stallTimeout consecutive polls in
+     * which the peer retires nothing — i.e. the pair is in a
+     * genuinely unresolvable mutual wait, where decoupling is the
+     * correct outcome anyway. A slave lock-follow wait taints its
+     * mutex after lockPollTimeout polls. The lockstep driver skips
+     * the idle rounds of a mutual wait instead of spinning them, with
+     * identical counts (docs/PERFORMANCE.md, "Lockstep idle
+     * fast-forward").
      */
     std::uint64_t stallTimeout = 100'000;
     std::uint64_t lockPollTimeout = 50'000;
 
     /**
-     * Hard wall-clock cap (seconds) before declaring a deadlock. The
-     * threaded driver judges it by elapsed time: a run that outlasts
-     * the cap is deadlocked even if both sides finished first.
+     * Hard wall-clock cap (seconds) before declaring a deadlock. Both
+     * drivers judge it by elapsed time, whether or not the pair is
+     * making progress (lockstep checks every 8192 rounds and every
+     * 2^20 instructions of a longer turn), and stop stepping once it
+     * has passed, leaving unfinished sides where they stand. The
+     * threaded driver also marks a run that outlasts the cap
+     * deadlocked even if both sides finished first.
      */
     double wallClockCap = 120.0;
 

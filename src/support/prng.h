@@ -53,6 +53,13 @@ class Prng
         return below(den) < num;
     }
 
+    /**
+     * Skip @p n draws in O(1): SplitMix64's state advances by a
+     * fixed increment per draw, so the stream continues exactly as
+     * if next() had been called @p n times.
+     */
+    void discard(std::uint64_t n) { state_ += n * 0x9e3779b97f4a7c15ULL; }
+
     /** Reseed in place. */
     void reseed(std::uint64_t seed) { state_ = seed; }
 

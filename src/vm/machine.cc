@@ -1,6 +1,7 @@
 #include "vm/machine.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "support/diag.h"
 
@@ -243,9 +244,8 @@ Machine::pickContext()
             curCtx_ = i;
             sliceLeft_ = cfg_.quantum;
             if (cfg_.schedJitter) {
-                sliceLeft_ = 1 + static_cast<int>(schedPrng_.below(
-                    static_cast<std::uint64_t>(
-                        std::max(1, cfg_.quantum * 2))));
+                sliceLeft_ = jitterSlice();
+                ++schedDraws_;
             }
             return i;
         }
@@ -327,6 +327,61 @@ Machine::settleNoPollable()
 
 StepStatus
 Machine::stepMany(std::uint64_t budget, std::uint64_t &retired)
+{
+    const int entry_ctx = curCtx_;
+    const bool entry_slice = sliceLeft_ > 0;
+    const std::uint64_t entry_draws = schedDraws_;
+    idlePolls_.clear();
+    StepStatus st = stepBatch(budget, retired);
+    idleRepeats_ = st == StepStatus::Stalled && retired == 0 &&
+                   curCtx_ == entry_ctx &&
+                   (sliceLeft_ > 0) == entry_slice;
+    idleDraws_ = schedDraws_ - entry_draws;
+    return st;
+}
+
+void
+Machine::skipIdleRounds(std::uint64_t n)
+{
+    checkInvariant(idleRepeats_, "skipIdleRounds after a non-idle round");
+    for (const IdlePoll &p : idlePolls_) {
+        if (p.sampled) {
+            // n more samples of the same counter. The sum only ever
+            // holds integers, so one multiply-add is bit-identical to
+            // n additions while every partial sum stays below 2^53;
+            // otherwise add them one by one.
+            Context &ctx = *p.ctx;
+            const double step = static_cast<double>(ctx.cnt);
+            const double total = step * static_cast<double>(n);
+            if (std::fabs(ctx.cntSum) + std::fabs(total) < 0x1p53) {
+                ctx.cntSum += total;
+            } else {
+                for (std::uint64_t i = 0; i < n; ++i)
+                    ctx.cntSum += step;
+            }
+            ctx.cntSamples += n;
+        }
+        if (p.stall)
+            *p.stall += n;
+    }
+    triedGen_ += n;
+    // A repeating round that ends with a live slice drew it last (its
+    // final pick rotated); one that ends with none zeroed it after
+    // its last draw.
+    const std::uint64_t draws = idleDraws_ * n;
+    if (draws == 0)
+        return;
+    if (sliceLeft_ > 0) {
+        schedPrng_.discard(draws - 1);
+        sliceLeft_ = jitterSlice();
+    } else {
+        schedPrng_.discard(draws);
+    }
+    schedDraws_ += draws;
+}
+
+StepStatus
+Machine::stepBatch(std::uint64_t budget, std::uint64_t &retired)
 {
     retired = 0;
     checkInvariant(started_, "Machine::stepMany before start");
@@ -682,6 +737,7 @@ Machine::executeOne(Context &ctx)
         if (reply == PortReply::Blocked) {
             if (prof_stall)
                 ++*prof_stall;
+            idlePolls_.push_back({&ctx, prof_stall, false});
             ctx.state = Context::State::BlockedPort;
             return false;
         }
@@ -1379,8 +1435,12 @@ Machine::doSyscall(Context &ctx, const ir::Instr &instr)
         if (port_) {
             PortReply reply = port_->onSyscall(req, *this, out);
             if (reply == PortReply::Blocked) {
-                if (prof_)
-                    ++prof_->stallPolls[prof_fn][prof_off];
+                std::uint64_t *stall = nullptr;
+                if (prof_) {
+                    stall = &prof_->stallPolls[prof_fn][prof_off];
+                    ++*stall;
+                }
+                idlePolls_.push_back({&ctx, stall, true});
                 ctx.state = Context::State::BlockedPort;
                 return false;
             }

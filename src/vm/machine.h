@@ -13,6 +13,7 @@
  */
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <map>
@@ -245,6 +246,23 @@ class Machine
      */
     StepStatus stepMany(std::uint64_t budget, std::uint64_t &retired);
 
+    /**
+     * True when the last stepMany retired nothing, stalled, and left
+     * the scheduler on the context (and slice state) it started
+     * from: while the port keeps answering every poll Blocked, each
+     * further call repeats it exactly (the lockstep driver's idle
+     * fast-forward, docs/PERFORMANCE.md).
+     */
+    bool idleRoundRepeats() const { return idleRepeats_; }
+
+    /**
+     * Apply @p n repeats of the last stepMany call without polling
+     * the port; requires idleRoundRepeats(). The scheduler rotation
+     * and its jitter draws, and each blocked poll's counter sample
+     * and profiler stall count, advance exactly as @p n calls would.
+     */
+    void skipIdleRounds(std::uint64_t n);
+
     /** Run to completion (native, non-dual executions). */
     StepStatus run();
 
@@ -280,6 +298,18 @@ class Machine
   private:
     /** Pick the next pollable context; -1 when none. */
     int pickContext();
+
+    /** One jittered slice length (a schedPrng_ draw). */
+    int
+    jitterSlice()
+    {
+        return 1 + static_cast<int>(schedPrng_.below(
+                       static_cast<std::uint64_t>(
+                           std::max(1, cfg_.quantum * 2))));
+    }
+
+    /** stepMany without the idle-round bookkeeping. */
+    StepStatus stepBatch(std::uint64_t budget, std::uint64_t &retired);
 
     /** Execute one instruction of @p ctx; returns false if blocked. */
     bool executeOne(Context &ctx);
@@ -388,6 +418,21 @@ class Machine
     // without the per-call allocation).
     std::vector<std::uint64_t> triedSeen_;
     std::uint64_t triedGen_ = 0;
+
+    // Idle-round replay state of the last stepMany call: the blocked
+    // polls it made (a syscall poll samples the counter; either kind
+    // may count a profiler stall), its jitter draws, and whether it
+    // ended where it started.
+    struct IdlePoll
+    {
+        Context *ctx;
+        std::uint64_t *stall; ///< profiler stall slot, or null
+        bool sampled;         ///< syscall poll: cntSum/cntSamples
+    };
+    std::vector<IdlePoll> idlePolls_;
+    std::uint64_t schedDraws_ = 0; ///< jitter draws ever made
+    std::uint64_t idleDraws_ = 0;  ///< ... by the last stepMany call
+    bool idleRepeats_ = false;
 
     // Mutexes: id -> owner tid (-1 free) and FIFO waiters.
     std::map<std::int64_t, std::int64_t> mutexOwner_;

@@ -5,6 +5,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "support/diag.h"
 #include "testutil.h"
 
@@ -256,6 +258,34 @@ TEST(LangTest, StackSmashTrapsOnReturn)
         "int main() { victim(64); return 0; }");
     EXPECT_EQ(r.status, vm::StepStatus::Trapped);
     EXPECT_NE(r.trapMessage.find("return token"), std::string::npos);
+}
+
+TEST(LangTest, IntegerLiteralsUpToUint64MaxWrap)
+{
+    auto value = [](const std::string &literal) {
+        return runProgram("int main() { return " + literal + "; }")
+            .exitCode;
+    };
+    EXPECT_EQ(value("9223372036854775807"), INT64_MAX);
+    EXPECT_EQ(value("0x7fffffffffffffff"), INT64_MAX);
+    EXPECT_EQ(value("9223372036854775808"), INT64_MIN); // 2^63
+    EXPECT_EQ(value("-9223372036854775808"), INT64_MIN);
+    EXPECT_EQ(value("18446744073709551615"), -1); // UINT64_MAX
+    EXPECT_EQ(value("0xffffffffffffffff"), -1);
+    // Constant-folded global initializers wrap the same way.
+    auto r = runProgram("int g = -9223372036854775808;"
+                        "int main() { return g; }");
+    EXPECT_EQ(r.exitCode, INT64_MIN);
+}
+
+TEST(LangTest, IntegerLiteralBeyondUint64MaxIsFatal)
+{
+    EXPECT_THROW(runProgram("int main() { return 18446744073709551616; }"),
+                 FatalError); // 2^64
+    EXPECT_THROW(runProgram("int main() { return 0x10000000000000000; }"),
+                 FatalError);
+    EXPECT_THROW(runProgram("int main() { return 99999999999999999999; }"),
+                 FatalError);
 }
 
 TEST(LangTest, ParseErrorIsFatal)

@@ -185,6 +185,17 @@ TEST(PrngTest, BelowNeverReachesBound)
         EXPECT_LT(p.below(7), 7u);
 }
 
+TEST(PrngTest, DiscardMatchesDrawing)
+{
+    for (std::uint64_t n : {0u, 1u, 2u, 1000u, 100003u}) {
+        Prng drawn(99), skipped(99);
+        for (std::uint64_t i = 0; i < n; ++i)
+            drawn.next();
+        skipped.discard(n);
+        EXPECT_EQ(drawn.next(), skipped.next()) << n;
+    }
+}
+
 TEST(DiagTest, FatalAndPanicTypes)
 {
     EXPECT_THROW(fatal("user"), FatalError);
